@@ -8,6 +8,14 @@ computations.
 
 Degree bookkeeping follows the shifted convention
 ``n_k = |theta_1| + ... + |theta_k| - k`` for words of homogeneous entries.
+
+Every chain operation (``from_words``, ``+``, ``b0``, ``b1``,
+``cyclic_symmetrize``) adds its output terms into one dict through
+:func:`_accumulate`, which drops an entry as soon as its sum cancels, and
+wraps that dict once without copying or rescanning it.  The cost is linear in
+the number of terms produced.  ``b0`` and ``b1`` read the per-monomial
+``d_T`` and product memos of the :class:`GeneratorTable`, which the table
+clears whenever a generator or a differential changes.
 """
 
 from __future__ import annotations
@@ -39,10 +47,19 @@ class BarChain:
                 if not iszero(c):
                     self.terms[word] = c
 
+    @classmethod
+    def _wrap(cls, table, terms):
+        """Chain owning ``terms`` as is: the dict must be free of zeros and
+        is neither copied nor rescanned."""
+        chain = cls.__new__(cls)
+        chain.table = table
+        chain.terms = terms
+        return chain
+
     # -- constructors -----------------------------------------------------
     @classmethod
     def zero(cls, table):
-        return cls(table, {})
+        return cls._wrap(table, {})
 
     @classmethod
     def from_word(cls, table, word, coeff=1):
@@ -74,12 +91,10 @@ class BarChain:
             if dead:
                 continue
             for key, c in expansions:
-                s = out.get(key, QC_ZERO) + c
-                if iszero(s):
-                    out.pop(key, None)
-                else:
-                    out[key] = s
-        return cls(table, out)
+                # a product of nonzero floats may underflow to zero
+                if not iszero(c):
+                    _accumulate(out, key, c)
+        return cls._wrap(table, out)
 
     # -- linear structure ----------------------------------------------------
     def __add__(self, other):
@@ -89,15 +104,11 @@ class BarChain:
             raise ValueError("chains over different tables")
         out = dict(self.terms)
         for w, c in other.terms.items():
-            s = out.get(w, QC_ZERO) + c
-            if iszero(s):
-                out.pop(w, None)
-            else:
-                out[w] = s
-        return BarChain(self.table, out)
+            _accumulate(out, w, c)
+        return BarChain._wrap(self.table, out)
 
     def __neg__(self):
-        return BarChain(self.table, {w: -c for w, c in self.terms.items()})
+        return BarChain._wrap(self.table, {w: -c for w, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
@@ -128,7 +139,8 @@ class BarChain:
         return max((len(w) for w in self.terms), default=0)
 
     def length_component(self, n):
-        return BarChain(self.table, {w: c for w, c in self.terms.items() if len(w) == n})
+        return BarChain._wrap(self.table,
+                              {w: c for w, c in self.terms.items() if len(w) == n})
 
     def word_degrees(self, word):
         return [self.table.mono_degree(m) for m in word]
@@ -184,53 +196,49 @@ def _prefix_degrees(table, word):
     return out
 
 
+def _accumulate(acc, word, c):
+    """acc[word] += c for a nonzero c, dropping the entry if the sum cancels."""
+    if word in acc:
+        c = acc[word] + c
+        if iszero(c):
+            del acc[word]
+            return
+    acc[word] = c
+
+
 def b0(chain):
     """Differential induced by d_T with signs (-1)^(n_{k-1})."""
     table = chain.table
-    out = BarChain.zero(table)
+    out = {}
     for word, coeff in chain.terms.items():
         pars = _shifted_prefix_parities(table, word)
         for k, mono in enumerate(word):
-            dtheta = FormElement(table, {mono: QC_ONE}).d_T()
-            if dtheta.is_zero():
+            dtheta = table.mono_d_T(mono)
+            if not dtheta:
                 continue
             sign_coeff = -coeff if pars[k] else coeff
-            pieces = [(sign_coeff * mc,
-                       word[:k] + (m2,) + word[k + 1:])
-                      for m2, mc in dtheta.terms.items()]
-            out += BarChain(table, dict(_combine(pieces)))
-    return out
+            head, tail = word[:k], word[k + 1:]
+            for m2, mc in dtheta:
+                _accumulate(out, head + (m2,) + tail, sign_coeff * mc)
+    return BarChain._wrap(table, out)
 
 
 def b1(chain):
     """Differential contracting adjacent slots with the algebra product."""
     table = chain.table
-    out = BarChain.zero(table)
+    out = {}
     for word, coeff in chain.terms.items():
         pars = _shifted_prefix_parities(table, word)
+        neg = -coeff
         for k in range(len(word) - 1):
-            left = FormElement(table, {word[k]: QC_ONE})
-            right = FormElement(table, {word[k + 1]: QC_ONE})
-            prod = left * right
-            if prod.is_zero():
+            mono, sign = table.mono_product(word[k], word[k + 1])
+            if mono is None:
                 continue
-            sign_coeff = coeff if pars[k + 1] else -coeff
-            pieces = [(sign_coeff * mc,
-                       word[:k] + (m2,) + word[k + 2:])
-                      for m2, mc in prod.terms.items()]
-            out += BarChain(table, dict(_combine(pieces)))
-    return out
-
-
-def _combine(pieces):
-    acc = {}
-    for c, w in pieces:
-        s = acc.get(w, QC_ZERO) + c
-        if iszero(s):
-            acc.pop(w, None)
-        else:
-            acc[w] = s
-    return acc.items()
+            # (-1)^(n + 1), n the shifted degree through the left factor,
+            # times the Koszul sign of the product
+            c = coeff if (pars[k + 1] == 1) == (sign > 0) else neg
+            _accumulate(out, word[:k] + (mono,) + word[k + 2:], c)
+    return BarChain._wrap(table, out)
 
 
 def b(chain):
@@ -251,27 +259,20 @@ def cyclic_symmetrize(word_or_chain, table=None):
                 raise ValueError("need a table for the empty word")
         chain = BarChain.from_word(table, word_or_chain)
     table = chain.table
-    out = BarChain.zero(table)
+    out = {}
     for word, coeff in chain.terms.items():
         n = len(word)
         if n == 0:
-            out += BarChain(table, {word: coeff})
+            _accumulate(out, word, coeff)
             continue
         degs = _prefix_degrees(table, word)
         n_total = degs[n]
-        acc = {}
+        neg = -coeff
         for k in range(n):
             nk = degs[k]
-            sign = -1 if (nk * (n_total - nk)) & 1 else 1
-            rotated = word[k:] + word[:k]
-            c = coeff if sign > 0 else -coeff
-            s = acc.get(rotated, QC_ZERO) + c
-            if iszero(s):
-                acc.pop(rotated, None)
-            else:
-                acc[rotated] = s
-        out += BarChain(table, acc)
-    return out
+            c = neg if (nk * (n_total - nk)) & 1 else coeff
+            _accumulate(out, word[k:] + word[:k], c)
+    return BarChain._wrap(table, out)
 
 
 def is_cyclic(chain, tol=None):
@@ -284,13 +285,12 @@ def is_cyclic(chain, tol=None):
         comp = chain.length_component(n)
         if n == 0:
             continue
-        delta = cyclic_symmetrize(comp) - comp.scale(n)
+        sym, scaled = cyclic_symmetrize(comp), comp.scale(n)
         if tol is None:
-            if not delta.is_zero():
+            if sym != scaled:
                 return False
-        else:
-            if any(abs(complex(c)) > tol for c in delta.terms.values()):
-                return False
+        elif any(abs(complex(c)) > tol for c in (sym - scaled).terms.values()):
+            return False
     return True
 
 
@@ -326,17 +326,26 @@ class Cochain:
     arities evaluate to zero.  ``parity`` refers to the shifted grading, so
     an even cochain takes values of parity n_N on a word with
     n_N = sum |theta_i| - N.
+
+    Matrix values act on ``C^dim`` graded as ``C^dim_plus (+) C^(dim -
+    dim_plus)``; ``dim_plus`` defaults to ``dim // 2``.
     """
 
-    __slots__ = ("table", "parity", "kind", "dim", "components")
+    __slots__ = ("table", "parity", "kind", "dim", "dim_plus", "components")
 
-    def __init__(self, table, parity, components, kind="scalar", dim=None):
+    def __init__(self, table, parity, components, kind="scalar", dim=None,
+                 dim_plus=None):
         self.table = table
         self.parity = parity & 1
         self.kind = kind
         self.dim = dim
-        if kind == "matrix" and not dim:
-            raise ValueError("matrix cochains need a dimension")
+        self.dim_plus = None
+        if kind == "matrix":
+            if not dim:
+                raise ValueError("matrix cochains need a dimension")
+            self.dim_plus = dim // 2 if dim_plus is None else int(dim_plus)
+            if not 0 <= self.dim_plus <= dim:
+                raise ValueError("dim_plus must lie in [0, dim]")
         self.components = dict(components)
 
     # -- value helpers ---------------------------------------------------------
@@ -385,15 +394,16 @@ class Cochain:
 
     # -- constructors -------------------------------------------------------------
     @classmethod
-    def unit(cls, table, kind="scalar", dim=None):
+    def unit(cls, table, kind="scalar", dim=None, dim_plus=None):
         if kind == "matrix":
             value = np.eye(dim, dtype=complex)
         else:
             value = QC_ONE
-        return cls(table, 0, {0: lambda w, v=value: v}, kind=kind, dim=dim)
+        return cls(table, 0, {0: lambda w, v=value: v}, kind=kind, dim=dim,
+                   dim_plus=dim_plus)
 
     @classmethod
-    def from_rules(cls, table, rules, parity, kind="scalar", dim=None):
+    def from_rules(cls, table, rules, parity, kind="scalar", dim=None, dim_plus=None):
         """Finitely supported cochain: rules map monomial words to values."""
         if kind == "matrix":
             zero = np.zeros((dim, dim), dtype=complex)
@@ -406,7 +416,7 @@ class Cochain:
             arity: (lambda word, _r=table_rules, _z=zero: _r.get(word, _z))
             for arity, table_rules in by_arity.items()
         }
-        return cls(table, parity, components, kind=kind, dim=dim)
+        return cls(table, parity, components, kind=kind, dim=dim, dim_plus=dim_plus)
 
 
 def cochain_mul(l1, l2):
@@ -414,7 +424,7 @@ def cochain_mul(l1, l2):
     (-1)^(n_k |l2|) for moving l2 past the first k slots."""
     if l1.table is not l2.table:
         raise ValueError("cochains over different tables")
-    if l1.kind != l2.kind or l1.dim != l2.dim:
+    if (l1.kind, l1.dim, l1.dim_plus) != (l2.kind, l2.dim, l2.dim_plus):
         raise ValueError("cochain value kinds do not match")
     table = l1.table
     arities1 = set(l1.components)
@@ -443,7 +453,8 @@ def cochain_mul(l1, l2):
         return fn
 
     comp = {n: make(n) for n in out_arities}
-    return Cochain(table, l1.parity ^ l2.parity, comp, kind=l1.kind, dim=l1.dim)
+    return Cochain(table, l1.parity ^ l2.parity, comp, kind=l1.kind, dim=l1.dim,
+                   dim_plus=l1.dim_plus)
 
 
 def beta(l):
@@ -462,14 +473,15 @@ def beta(l):
         return fn
 
     comp = {n: make(n) for n in out_arities}
-    return Cochain(table, l.parity ^ 1, comp, kind=l.kind, dim=l.dim)
+    return Cochain(table, l.parity ^ 1, comp, kind=l.kind, dim=l.dim,
+                   dim_plus=l.dim_plus)
 
 
 def cochain_parity_report(l, words):
     """Check value parity against the shifted word parity on sample words.
 
     For matrix cochains the value must populate only the blocks of parity
-    (|l| + n_N) mod 2 with respect to the standard grading.
+    (|l| + n_N) mod 2 with respect to the grading split at ``l.dim_plus``.
     """
     bad = []
     for word in words:
@@ -482,8 +494,7 @@ def cochain_parity_report(l, words):
                     bad.append((w, "odd value on scalar cochain"))
             else:
                 want = n_par ^ l.parity
-                n = l.dim
-                half = n // 2
+                half = l.dim_plus
                 A = np.asarray(v)
                 diag = np.linalg.norm(A[:half, :half]) + np.linalg.norm(A[half:, half:])
                 off = np.linalg.norm(A[:half, half:]) + np.linalg.norm(A[half:, :half])

@@ -245,7 +245,8 @@ def connection_cochain(model):
         prime, _ = FormElement(table, {mono: QC_ONE}).split_sigma()
         return model.c(prime)
 
-    return Cochain(table, 1, {0: arity0, 1: arity1}, kind="matrix", dim=model.dim)
+    return Cochain(table, 1, {0: arity0, 1: arity1}, kind="matrix", dim=model.dim,
+                   dim_plus=model.dim_plus)
 
 
 def curvature_cochain(model):
@@ -262,7 +263,7 @@ def curvature_cochain(model):
         return _f2(model, word[0], word[1])
 
     return Cochain(table, 0, {0: arity0, 1: arity1, 2: arity2},
-                   kind="matrix", dim=model.dim)
+                   kind="matrix", dim=model.dim, dim_plus=model.dim_plus)
 
 
 # -- simplex integrals ---------------------------------------------------------------
@@ -610,24 +611,24 @@ def trace_expand(mats, coeff=1):
     Theta_s[a_{s-1}, a_s] with a_0 = a_M."""
     if not mats:
         raise ValueError("empty matrix word")
-    table = mats[0].table
+    return BarChain.from_words(mats[0].table, _trace_words(mats, coeff))
+
+
+def _trace_words(mats, coeff):
+    """(coeff, word) pairs of the index expansion behind ``trace_expand``."""
     n = mats[0].shape[0]
     M = len(mats)
-    weighted = []
     for idx in _cartesian(range(n), repeat=M):
         word = []
         prev = idx[-1]
-        dead = False
         for s in range(M):
             entry = mats[s][prev, idx[s]]
             if entry.is_zero():
-                dead = True
                 break
             word.append(entry)
             prev = idx[s]
-        if not dead:
-            weighted.append((coeff, tuple(word)))
-    return BarChain.from_words(table, weighted)
+        else:
+            yield coeff, tuple(word)
 
 
 def bismut_words(p, n_max):
@@ -650,12 +651,11 @@ def bismut_chern(p, n_max, report=False):
     once R vanishes; otherwise the series is cut at ``n_max`` (the evaluation
     against the character converges factorially).
     """
-    table = p.table
-    R = curvature_word_matrix(p)
-    chain = BarChain.zero(table)
-    for coeff, word in bismut_words(p, n_max):
-        chain = chain + trace_expand(word, coeff)
+    chain = BarChain.from_words(p.table, (
+        pair for coeff, word in bismut_words(p, n_max)
+        for pair in _trace_words(word, coeff)))
     if report:
+        R = curvature_word_matrix(p)
         info = {
             "natural_truncation": R.is_zero(),
             "n_max": n_max,

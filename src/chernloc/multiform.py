@@ -31,7 +31,16 @@ class TableMismatchError(ValueError):
 
 
 class GeneratorTable:
-    """Generators, degrees, differentials and the ambient top degree."""
+    """Generators, degrees, differentials and the ambient top degree.
+
+    The table memoizes the terms of ``d_T`` of a monomial (:meth:`mono_d_T`,
+    a tuple of ``(monomial, coefficient)`` pairs) and the signed product of
+    an ordered pair of monomials (:meth:`mono_product`, a ``(monomial,
+    sign)`` pair).  Entries are immutable tuples filled on first use, so a
+    fresh table costs nothing.  Both memos are cleared by
+    :meth:`add_generator` and :meth:`set_differential`; their size is bounded
+    by the table's finite set of monomials and of pairs of monomials.
+    """
 
     def __init__(self, top_degree, generators=()):
         top_degree = int(top_degree)
@@ -42,8 +51,14 @@ class GeneratorTable:
         self._degrees = [-1]
         self._ids = {SIGMA: SIGMA_ID}
         self._diffs = {}
+        self._d_T_memo = {}
+        self._product_memo = {}
         for name, deg in generators:
             self.add_generator(name, deg)
+
+    def _clear_memos(self):
+        self._d_T_memo.clear()
+        self._product_memo.clear()
 
     # -- construction -------------------------------------------------
     def add_generator(self, name, degree):
@@ -58,6 +73,7 @@ class GeneratorTable:
         self._names.append(name)
         self._degrees.append(degree)
         self._ids[name] = gid
+        self._clear_memos()
         return self.gen(name)
 
     def set_differential(self, name, form):
@@ -69,6 +85,7 @@ class GeneratorTable:
         if not isinstance(form, FormElement) or form.table is not self:
             raise TableMismatchError("differential must live in the same table")
         self._diffs[gid] = form
+        self._clear_memos()
 
     @classmethod
     def build(cls, top_degree, entries):
@@ -164,6 +181,22 @@ class GeneratorTable:
         if nonsigma > self.top_degree:
             return None, 0
         return merged, sign
+
+    def mono_d_T(self, mono):
+        """Terms of d_T of a monomial, as a tuple of (monomial, coefficient) pairs."""
+        terms = self._d_T_memo.get(mono)
+        if terms is None:
+            terms = tuple(FormElement(self, {mono: QC_ONE}).d_T().terms.items())
+            self._d_T_memo[mono] = terms
+        return terms
+
+    def mono_product(self, ma, mb):
+        """Memoized :meth:`mul_monomials`: (monomial, sign) or (None, 0)."""
+        key = (ma, mb)
+        product = self._product_memo.get(key)
+        if product is None:
+            product = self._product_memo[key] = self.mul_monomials(ma, mb)
+        return product
 
     # -- parsing / serialization ----------------------------------------
     def parse(self, text):

@@ -121,8 +121,8 @@ class QC:
         return NotImplemented
 
     def __hash__(self):
-        # QC values are only ever hashed against other QC values
-        return hash((self.re, self.im))
+        # a real QC equals its Fraction, so it must hash like it
+        return hash((self.re, self.im)) if self.im else hash(self.re)
 
     def __bool__(self):
         return not self.is_zero()
@@ -311,7 +311,9 @@ class TauPoly:
         return NotImplemented
 
     def __hash__(self):
-        return hash(tuple(sorted((k, v.re, v.im) for k, v in self.coeffs.items())))
+        if not self.coeffs.keys() - {0}:
+            return hash(self.coeffs.get(0, QC_ZERO))   # equal to that constant
+        return hash(frozenset(self.coeffs.items()))
 
     def __bool__(self):
         return bool(self.coeffs)
@@ -403,9 +405,9 @@ class PiScalar:
         return self.pi == 0 and self.value == c
 
     def __hash__(self):
-        if iszero(self.value):
-            return hash(0)
-        return hash((self.pi, str(self.value)))
+        if self.pi == 0 or iszero(self.value):
+            return hash(self.value)   # equal to the bare value
+        return hash((self.pi, self.value))
 
     def __bool__(self):
         return not iszero(self.value)

@@ -2,10 +2,18 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import settings
 
 from chernloc.formmatrix import FormMatrix
 from chernloc.mehler import CurvatureMatrix
 from chernloc.multiform import GeneratorTable
+
+# One profile for every property test: the same examples on every run (no
+# example database, no per-example deadline on a shared host) and few of
+# them, so the suite stays deterministic and quick.
+settings.register_profile("tier1", deadline=None, derandomize=True,
+                          database=None, max_examples=20)
+settings.load_profile("tier1")
 
 
 @pytest.fixture(scope="session")

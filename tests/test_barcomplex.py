@@ -268,6 +268,19 @@ def test_cochain_parity_validation():
     assert cochain_parity_report(omega, words) == []
 
 
+@pytest.mark.parametrize("dim_plus, dim_minus", [(3, 1), (1, 3)])
+def test_cochain_parity_with_unequal_graded_dimensions(dim_plus, dim_minus):
+    import chernloc.fredholm as fredholm
+    rng = random.Random(5)
+    table = simple_table()
+    model = fredholm.random_model(table, rng, dim_plus, dim_minus)
+    words = [random_word(table, rng, max_len=2) for _ in range(30)]
+    for cochain in (fredholm.connection_cochain(model),
+                    fredholm.curvature_cochain(model)):
+        assert cochain.dim_plus == dim_plus
+        assert cochain_parity_report(cochain, words) == []
+
+
 def test_chain_nested_list_roundtrip():
     rng = random.Random(18)
     for _ in range(25):
@@ -284,3 +297,13 @@ def test_value_kind_mismatch_rejected():
     matrix = Cochain.unit(table, kind="matrix", dim=2)
     with pytest.raises(ValueError):
         cochain_mul(scalar, matrix)
+
+
+def test_matrix_cochain_grading_checked():
+    table = simple_table()
+    with pytest.raises(ValueError):
+        Cochain.unit(table, kind="matrix", dim=4, dim_plus=5)
+    balanced = Cochain.unit(table, kind="matrix", dim=4)
+    assert balanced.dim_plus == 2
+    with pytest.raises(ValueError):
+        cochain_mul(balanced, Cochain.unit(table, kind="matrix", dim=4, dim_plus=3))

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from chernloc.scalars import (QC, PiScalar, TauPoly, bernoulli_numbers,
                               coerce, iszero, two_over_i_pow,
@@ -79,3 +81,28 @@ def test_bernoulli_values():
     assert b[4] == Fraction(-1, 30)
     assert b[6] == Fraction(1, 42)
     assert b[8] == Fraction(-1, 30)
+
+
+exact_reals = st.one_of(st.integers(-10**30, 10**30), st.fractions(max_denominator=10**6))
+
+
+@given(exact_reals, st.integers(-3, 3))
+def test_hashes_agree_with_equality(x, pi):
+    assert QC(x) == x and hash(QC(x)) == hash(x)
+    assert PiScalar(x, 0) == x and hash(PiScalar(x, 0)) == hash(x)
+    assert TauPoly.const(x) == x and hash(TauPoly.const(x)) == hash(x)
+    # equal values of different construction hash alike
+    assert hash(PiScalar(QC(x), pi)) == hash(PiScalar(x, pi))
+    assert hash(QC(x, 1)) == hash(QC(Fraction(x), Fraction(1)))
+
+
+def test_scalars_as_keys_next_to_ints():
+    table = {1: "one", Fraction(1, 2): "half", 0: "zero"}
+    assert table[QC(1)] == "one"
+    assert table[QC(Fraction(1, 2))] == "half"
+    assert table[PiScalar(QC(1), 0)] == "one"
+    assert table[PiScalar(QC(0), 3)] == "zero"
+    assert table[TauPoly()] == "zero"
+    assert len({1, QC(1), PiScalar(1, 0), TauPoly.const(1)}) == 1
+    assert len({QC(0, 1), QC(0, 1), PiScalar(QC(0, 1), 0)}) == 1
+    assert len({PiScalar(2, 1), PiScalar(QC(2), 1), PiScalar(2, 2), 2}) == 3
