@@ -6,10 +6,10 @@ The package is organized around:
 * :mod:`chernloc.multiform`  -- finitely generated graded-commutative form
   algebras with a degree (-1) extension variable and d_T = d - iota;
 * :mod:`chernloc.clifford`   -- Cl(R^d), quantization map, Clifford symbol,
-  Berezin supertrace, operator-word order bookkeeping;
+  Berezin supertrace, spinor representation;
 * :mod:`chernloc.barcomplex` -- bar and cyclic chains, the restriction map,
   and the cochain algebra with its codifferential;
-* :mod:`chernloc.fredholm`   -- finite matrix models, curvature components,
+* :mod:`chernloc.fredholm`   -- finite matrix models, the curvature cochain,
   the perturbation-series character, idempotent chains, the heat-supertrace
   comparison;
 * :mod:`chernloc.mehler`     -- nilpotent Gaussian calculus: the
@@ -22,12 +22,11 @@ The package is organized around:
 
 from .barcomplex import (BarChain, Cochain, b, b0, b1, beta, cochain_mul,
                          cyclic_symmetrize, is_cyclic, restrict_i)
-from .clifford import (CliffordElement, OperatorWord, berezin_str,
-                       clifford_mul, exterior_table, getzler_order, quantize,
-                       spinor_representation, symbol)
+from .clifford import (CliffordElement, berezin_str, clifford_mul,
+                       exterior_table, quantize, spinor_representation, symbol)
 from .formmatrix import FormMatrix
-from .fredholm import (CurvatureComponents, FredholmModel, bismut_chern,
-                       chern_t, curvature, mckean_singer_check)
+from .fredholm import (FredholmModel, bismut_chern, chern_t,
+                       curvature_cochain, mckean_singer_check)
 from .localize import (LocalizationCase, limit_theorem_check, localized_term,
                        symbol_of_F)
 from .mehler import (KAPPA_COEFF, CurvatureMatrix, GaussianKernel, a_hat,
@@ -45,12 +44,11 @@ __version__ = "0.1.0"
 __all__ = [
     "BarChain", "Cochain", "b", "b0", "b1", "beta", "cochain_mul",
     "cyclic_symmetrize", "is_cyclic", "restrict_i",
-    "CliffordElement", "OperatorWord", "berezin_str", "clifford_mul",
-    "exterior_table", "getzler_order", "quantize", "spinor_representation",
-    "symbol",
+    "CliffordElement", "berezin_str", "clifford_mul", "exterior_table",
+    "quantize", "spinor_representation", "symbol",
     "FormMatrix",
-    "CurvatureComponents", "FredholmModel", "bismut_chern", "chern_t",
-    "curvature", "mckean_singer_check",
+    "FredholmModel", "bismut_chern", "chern_t", "curvature_cochain",
+    "mckean_singer_check",
     "LocalizationCase", "limit_theorem_check", "localized_term", "symbol_of_F",
     "KAPPA_COEFF", "CurvatureMatrix", "GaussianKernel", "a_hat",
     "heat_element", "heat_equation_residual", "kappa_form", "mehler_kernel",

@@ -11,7 +11,8 @@ Subcommands:
 
 Inputs are plain-text generator tables (``check-bar``) or small JSON
 documents; every subcommand emits a machine-readable JSON report on stdout
-and exits nonzero on failure.
+and exits nonzero on failure: status 1 when a check fails, status 2 with
+``{"ok": false, "error": ...}`` when the input cannot be read or is invalid.
 """
 
 from __future__ import annotations
@@ -117,7 +118,7 @@ def cmd_mckean_singer(args):
         doc = json.load(fh)
     table, model, p = _load_model(doc)
     if p is None:
-        raise SystemExit("model document needs an idempotent 'p'")
+        raise ValueError("model document needs an idempotent 'p'")
     rep = fredholm.mckean_singer_check(model, p, t=doc.get("t", 1.0),
                                        tol=args.tol, n_max=args.n_max)
     ok = rep.difference < args.tol
@@ -284,7 +285,11 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        _emit({"ok": False, "error": f"{type(exc).__name__}: {exc}"}, False)
+        return 2
 
 
 if __name__ == "__main__":

@@ -14,7 +14,6 @@ they are treated as central.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -258,48 +257,6 @@ def berezin_str(a):
     if isinstance(coeff, FormElement):
         return coeff.scale(scale)
     return scale * coeff
-
-
-# -- operator words and the Getzler filtration ---------------------------------------
-
-
-@dataclass(frozen=True)
-class OperatorWord:
-    """Formal composition of covariant derivatives, Clifford multiplications,
-    scalar functions and identities, kept only for order bookkeeping."""
-
-    factors: tuple
-
-    @staticmethod
-    def nabla(i):
-        return ("nabla", int(i))
-
-    @staticmethod
-    def clifford(element):
-        return ("clifford", element)
-
-    @staticmethod
-    def scalar(name="f"):
-        return ("scalar", name)
-
-    @staticmethod
-    def identity():
-        return ("id", None)
-
-
-def getzler_order(word):
-    """Covariant derivatives and each Clifford generator count one."""
-    total = 0
-    for kind, payload in word.factors:
-        if kind == "nabla":
-            total += 1
-        elif kind == "clifford":
-            total += max(payload.order(), 0)
-        elif kind in ("scalar", "id"):
-            pass
-        else:
-            raise ValueError(f"unknown factor kind {kind!r}")
-    return total
 
 
 # -- matrix representation (cross-check oracle) ----------------------------------------

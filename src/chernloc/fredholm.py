@@ -4,12 +4,11 @@ A model is a graded vector space C^(p+q) with grading diag(+1,...,-1,...),
 an odd matrix Q, and a linear assignment of matrices to the sigma-free
 monomials of a form algebra.  On top of this the module provides:
 
-* the curvature components F (arities 0, 1, 2; higher ones vanish),
-  with the two-slot sign fixed by F = beta(omega) + omega^2;
+* the curvature cochain F (arities 0, 1, 2; higher ones vanish), with the
+  two-slot sign fixed by F = beta(omega) + omega^2;
 * the rescaled Chern character as a perturbation series over simplices,
-  with three interchangeable simplex-integral engines (eigendecomposition
-  plus divided differences, a block matrix exponential, and nested
-  Gauss-Legendre quadrature as the oracle);
+  summed in one block upper-triangular matrix exponential, with nested
+  Gauss-Legendre quadrature over each splitting as the test oracle;
 * idempotent calculus: the cyclic chain built from R = (2p-1)dp + sigma(dp)^2
   and the heat-supertrace comparison for D_p = D + c((2p-1)dp).
 
@@ -177,61 +176,8 @@ def _all_monomials(table):
 # -- curvature -------------------------------------------------------------------
 
 
-@dataclass
-class CurvatureComponents:
-    """F(emptyset) = Q^2 plus one- and two-slot components; others vanish."""
-
-    model: FredholmModel
-    F0: np.ndarray
-
-    def F1(self, theta):
-        return _f1(self.model, theta)
-
-    def F2(self, theta1, theta2):
-        return _f2(self.model, theta1, theta2)
-
-
 def _graded_comm(Q, A, parity):
     return Q @ A - ((-1) ** parity) * (A @ Q)
-
-
-def _f1(model, theta):
-    if not isinstance(theta, FormElement):
-        theta = FormElement(model.table, {tuple(theta): QC_ONE})
-    out = np.zeros((model.dim, model.dim), dtype=complex)
-    for par, part in _parity_parts(theta).items():
-        prime, second = part.split_sigma()
-        out += model.c(prime.d()) - _graded_comm(model.Q, model.c(prime), par) \
-            - model.c(second)
-    return out
-
-
-def _f2(model, theta1, theta2):
-    if not isinstance(theta1, FormElement):
-        theta1 = FormElement(model.table, {tuple(theta1): QC_ONE})
-    if not isinstance(theta2, FormElement):
-        theta2 = FormElement(model.table, {tuple(theta2): QC_ONE})
-    out = np.zeros((model.dim, model.dim), dtype=complex)
-    for par1, part1 in _parity_parts(theta1).items():
-        p1, _ = part1.split_sigma()
-        p2 = theta2.split_sigma()[0]
-        sign = (-1) ** (par1 + 1)
-        out += sign * (model.c(p1) @ model.c(p2) - model.c(p1 * p2))
-    return out
-
-
-def _parity_parts(theta):
-    parts = {}
-    for deg, comp in theta.homogeneous_parts().items():
-        par = deg & 1
-        parts[par] = parts.get(par, comp.table.zero()) + comp
-    return parts
-
-
-def curvature(model):
-    """Components of F = beta(omega) + omega^2 for the connection cochain
-    omega(emptyset) = -Q, omega(theta) = c(theta')."""
-    return CurvatureComponents(model, model.Q @ model.Q)
 
 
 def connection_cochain(model):
@@ -250,17 +196,22 @@ def connection_cochain(model):
 
 
 def curvature_cochain(model):
+    """F = beta(omega) + omega^2 for the connection cochain omega(emptyset) = -Q,
+    omega(theta) = c(theta'): F(emptyset) = Q^2, plus one-slot and two-slot
+    parts (the rescaled blocks at t = 1); all other arities vanish."""
     table = model.table
-    comps = curvature(model)
+    F0 = model.Q @ model.Q
 
     def arity0(word):
-        return comps.F0
+        return F0
 
     def arity1(word):
-        return _f1(model, word[0])
+        slot, = _as_form_matrix_word(table, word)
+        return _scaled_f1(model, 1.0, slot, {})
 
     def arity2(word):
-        return _f2(model, word[0], word[1])
+        slot1, slot2 = _as_form_matrix_word(table, word)
+        return _scaled_f2(model, 1.0, slot1, slot2, {})
 
     return Cochain(table, 0, {0: arity0, 1: arity1, 2: arity2},
                    kind="matrix", dim=model.dim, dim_plus=model.dim_plus)
@@ -269,92 +220,33 @@ def curvature_cochain(model):
 # -- simplex integrals ---------------------------------------------------------------
 
 
-def simplex_matrix_integral(A, Bs):
-    """int_{sum s_p = 1, s_p >= 0} e^(-s_0 A) B_1 e^(-s_1 A) ... B_k e^(-s_k A) ds
-    via the block upper-bidiagonal matrix exponential."""
-    k = len(Bs)
+def _expm_corner(A, superdiag1, superdiag2=()):
+    """Top-right block of expm of the block upper-triangular matrix with -A
+    on the diagonal and the given blocks on its first two superdiagonals
+    (Van Loan's construction: the corner sums the simplex integrals of every
+    index-increasing path through the blocks)."""
+    k = len(superdiag1)
     n = A.shape[0]
-    if k == 0:
-        return _expm(-A)
     big = np.zeros(((k + 1) * n, (k + 1) * n), dtype=complex)
     for p in range(k + 1):
         big[p * n:(p + 1) * n, p * n:(p + 1) * n] = -A
-    for p in range(k):
-        big[p * n:(p + 1) * n, (p + 1) * n:(p + 2) * n] = Bs[p]
+    for p, B in enumerate(superdiag1):
+        big[p * n:(p + 1) * n, (p + 1) * n:(p + 2) * n] = B
+    for p, B in enumerate(superdiag2):
+        big[p * n:(p + 1) * n, (p + 2) * n:(p + 3) * n] = B
     return _expm(big)[0:n, k * n:(k + 1) * n]
 
 
-def _dd_exp_neg(nodes, memo, tol=1e-3):
-    """Divided differences of exp(-x).
-
-    Well-separated nodes use the two-sided recursion.  Clusters tighter
-    than ``tol`` (where the recursion cancels catastrophically) are
-    evaluated through the bidiagonal-matrix form of the confluent Taylor
-    series: the (0, m) entry of expm(-Z) with Z carrying the nodes on the
-    diagonal and ones above it is exactly the divided difference, for any
-    node configuration including exact coincidences.
-    """
-    key = nodes
-    val = memo.get(key)
-    if val is not None:
-        return val
-    m = len(nodes) - 1
-    if m == 0:
-        val = np.exp(-nodes[0])
-    else:
-        spread = abs(nodes[-1] - nodes[0])
-        if spread < tol:
-            Z = np.diag(np.asarray(nodes, dtype=complex))
-            for i in range(m):
-                Z[i, i + 1] = 1.0
-            val = _expm(-Z)[0, m]
-        else:
-            val = (_dd_exp_neg(nodes[1:], memo, tol)
-                   - _dd_exp_neg(nodes[:-1], memo, tol)) / (nodes[-1] - nodes[0])
-    memo[key] = val
-    return val
-
-
-def simplex_str_dd(A, Bs, weight):
-    """Trace engine: eigendecomposition plus divided differences.
-
-    By the Hermite-Genocchi formula the simplex integral of the exponential
-    factors along an index path is (-1)^k times the divided difference of
-    exp(-x) at the eigenvalues met along the path.
-    """
-    herm = np.allclose(A, A.conj().T, atol=1e-12)
-    if herm:
-        lam, V = np.linalg.eigh(A)
-        Vi = V.conj().T
-    else:
-        lam, V = np.linalg.eig(A)
-        Vi = np.linalg.inv(V)
-    k = len(Bs)
-    W = Vi @ weight @ V
-    if k == 0:
-        return complex(np.sum(np.diag(W) * np.exp(-lam)))
-    tilde = [Vi @ B @ V for B in Bs]
-    n = A.shape[0]
-    memo = {}
-    total = 0j
-    for path in _cartesian(range(n), repeat=k + 1):
-        amp = W[path[-1], path[0]]
-        if amp == 0:
-            continue
-        for p in range(k):
-            amp *= tilde[p][path[p], path[p + 1]]
-            if amp == 0:
-                break
-        if amp == 0:
-            continue
-        nodes = tuple(sorted((complex(lam[j]) for j in path),
-                             key=lambda z: (z.real, z.imag)))
-        total += amp * _dd_exp_neg(nodes, memo)
-    return complex((-1) ** k * total)
+def simplex_matrix_integral(A, Bs):
+    """int_{sum s_p = 1, s_p >= 0} e^(-s_0 A) B_1 e^(-s_1 A) ... B_k e^(-s_k A) ds
+    via the block upper-bidiagonal matrix exponential."""
+    return _expm_corner(A, Bs)
 
 
 def simplex_str_quad(A, Bs, weight, order=32):
-    """Oracle engine: iterated Gauss-Legendre quadrature over the simplex."""
+    """Oracle engine: the composition sum by iterated Gauss-Legendre quadrature
+    over the simplex, evaluated in the eigenbasis of A.  The outer levels
+    loop over nodes; the innermost level runs over all nodes at once."""
     k = len(Bs)
     if k == 0:
         return complex(np.trace(weight @ _expm(-A)))
@@ -367,42 +259,33 @@ def simplex_str_quad(A, Bs, weight, order=32):
     else:
         lam, V = np.linalg.eig(A)
         Vi = np.linalg.inv(V)
-
-    def heat(s):
-        return (V * np.exp(-s * lam)) @ Vi
-
+    W = Vi @ weight @ V
+    tilde = [Vi @ B @ V for B in Bs]
     xs, ws = np.polynomial.legendre.leggauss(order)
 
-    def integrate(lo, depth, taus):
-        total = 0j
+    def integrate(lo, depth, P):
+        # P = W e^(-s_0 lam) B~_1 ... e^(-s_(depth-2) lam) B~_(depth-1),
+        # with the last time node at lo
         half = (1.0 - lo) / 2.0
         if half <= 0:
             return 0j
-        for x, w in zip(xs, ws):
-            t = lo + half * (x + 1.0)
-            ts = taus + (t,)
-            if depth == k:
-                total += w * _integrand(ts)
-            else:
-                total += w * integrate(t, depth + 1, ts)
+        ts = lo + half * (xs + 1.0)
+        if depth == k:
+            # tr(P e^(-(t - lo) lam) B~_k e^(-(1 - t) lam)) for every node t
+            C = tilde[-1] * P.T
+            E1 = np.exp(-np.outer(ts - lo, lam))
+            E2 = np.exp(-np.outer(1.0 - ts, lam))
+            return np.einsum("j,ja,ab,jb->", ws, E1, C, E2) * half
+        total = 0j
+        for t, w in zip(ts, ws):
+            step = (P * np.exp(-(t - lo) * lam)) @ tilde[depth - 1]
+            total += w * integrate(t, depth + 1, step)
         return total * half
 
-    def _integrand(taus):
-        taus = (0.0,) + taus + (1.0,)
-        M = weight @ heat(taus[1] - taus[0])
-        for p in range(k):
-            M = M @ Bs[p] @ heat(taus[p + 2] - taus[p + 1])
-        return np.trace(M)
-
-    return complex(integrate(0.0, 1, ()))
+    return complex(integrate(0.0, 1, W))
 
 
-def simplex_str(A, Bs, weight, engine="auto", quad_order=32):
-    if engine == "auto":
-        small = A.shape[0] <= 10 and len(Bs) <= 3
-        engine = "dd" if small and np.allclose(A, A.conj().T, atol=1e-12) else "expm"
-    if engine == "dd":
-        return simplex_str_dd(A, Bs, weight)
+def simplex_str(A, Bs, weight, engine="expm", quad_order=32):
     if engine == "expm":
         return complex(np.trace(weight @ simplex_matrix_integral(A, Bs)))
     if engine == "quad":
@@ -480,31 +363,36 @@ def _kron_model(model, n):
     return Qh, Gh
 
 
-def chern_t(model, t, target, engine="auto", quad_order=32):
+def chern_t(model, t, target, engine="expm"):
     """The rescaled Chern character evaluated on a word or chain.
 
     Each admissible splitting of the word into adjacent blocks of size one
     or two contributes
     (-1)^k  t^(|theta| - N + 2k)  int_simplex Str(e^(-t^2 tau_1 Q^2)
     prod_p F(block_p) e^(-t^2 (tau_{p+1}-tau_p) Q^2)) dtau.
+
+    ``engine="expm"`` sums all splittings in one block exponential;
+    ``engine="quad"`` is the quadrature oracle over each splitting.
     """
     if t <= 0:
         raise ValueError("the scaling parameter must be positive")
+    if engine not in ("expm", "quad"):
+        raise ValueError(f"unknown engine {engine!r}")
     table = model.table
     if isinstance(target, BarChain):
         total = 0j
         for word, coeff in target.terms.items():
-            total += complex(coeff) * chern_t(model, t, word, engine, quad_order)
+            total += complex(coeff) * chern_t(model, t, word, engine)
         return total
     if isinstance(target, tuple) and target and isinstance(target[0], FormElement):
         chain = BarChain.from_word(table, target)
-        return chern_t(model, t, chain, engine, quad_order)
+        return chern_t(model, t, chain, engine)
     if isinstance(target, tuple) and target and isinstance(target[0], FormMatrix):
-        return _chern_matrix_word(model, t, target, engine, quad_order)
+        return _chern_matrix_word(model, t, target, engine)
     # monomial word (possibly empty)
     word = tuple(target)
     mats = _as_form_matrix_word(table, word)
-    return _chern_matrix_word(model, t, mats, engine, quad_order)
+    return _chern_matrix_word(model, t, mats, engine)
 
 
 def _scaled_f1(model, t, slot, cache):
@@ -536,19 +424,19 @@ def _scaled_f2(model, t, slot1, slot2, cache):
     return out
 
 
-def _chern_matrix_word(model, t, mats, engine, quad_order):
+def _chern_matrix_word(model, t, mats, engine):
     """Sum over block splittings; the t powers are absorbed into the blocks
     (simplex integrals are multilinear in them), so mixed-degree entries
     need no separate expansion.
 
-    The default engine evaluates the whole splitting sum in one block
+    The expm engine evaluates the whole splitting sum in one block
     upper-triangular exponential: index-increasing paths from the first to
     the last block of expm reproduce every splitting with its simplex
     integral and the alternating sign carried by the off-diagonal blocks.
     """
     if not mats:
         A = (t ** 2) * (model.Q @ model.Q)
-        return complex(simplex_str(A, [], model.grading, engine, quad_order))
+        return complex(simplex_str(A, [], model.grading, engine))
     n = mats[0].shape[0]
     for m in mats:
         if m.shape[0] != n:
@@ -557,18 +445,10 @@ def _chern_matrix_word(model, t, mats, engine, quad_order):
     N = len(mats)
     Qh, Gh = _kron_model(model, n)
     A = (t ** 2) * (Qh @ Qh)
-    if engine in ("auto", "expm"):
-        nd = A.shape[0]
-        big = np.zeros(((N + 1) * nd, (N + 1) * nd), dtype=complex)
-        for i in range(N + 1):
-            big[i * nd:(i + 1) * nd, i * nd:(i + 1) * nd] = -A
-        for i in range(N):
-            big[i * nd:(i + 1) * nd, (i + 1) * nd:(i + 2) * nd] = \
-                -_scaled_f1(model, t, mats[i], cache)
-        for i in range(N - 1):
-            big[i * nd:(i + 1) * nd, (i + 2) * nd:(i + 3) * nd] = \
-                -_scaled_f2(model, t, mats[i], mats[i + 1], cache)
-        corner = _expm(big)[0:nd, N * nd:(N + 1) * nd]
+    if engine == "expm":
+        corner = _expm_corner(
+            A, [-_scaled_f1(model, t, mats[i], cache) for i in range(N)],
+            [-_scaled_f2(model, t, mats[i], mats[i + 1], cache) for i in range(N - 1)])
         return complex(np.trace(Gh @ corner))
     total = 0j
     for comp in _compositions(N):
@@ -588,7 +468,7 @@ def _chern_matrix_word(model, t, mats, engine, quad_order):
             blocks.append(B)
         if dead:
             continue
-        value = simplex_str(A, blocks, Gh, engine, quad_order)
+        value = simplex_str_quad(A, blocks, Gh)
         total += ((-1) ** k) * value
     return total
 
@@ -659,7 +539,6 @@ def bismut_chern(p, n_max, report=False):
         info = {
             "natural_truncation": R.is_zero(),
             "n_max": n_max,
-            "curvature_zero": R.is_zero(),
         }
         return chain, info
     return chain
@@ -720,7 +599,7 @@ class McKeanSingerReport:
         }
 
 
-def mckean_singer_check(model, p, t=1.0, tol=1e-10, n_max=18, engine="expm"):
+def mckean_singer_check(model, p, t=1.0, tol=1e-10, n_max=18):
     """Compare the character of the idempotent chain with the heat
     supertrace of the twisted operator D_p = D + c((2p-1)dp).
 
@@ -740,7 +619,7 @@ def mckean_singer_check(model, p, t=1.0, tol=1e-10, n_max=18, engine="expm"):
         for k in range(N + 1):
             word = tuple([R] * k + [sigma_p] + [R] * (N - k))
             term += complex(QC((-1) ** N)) * _chern_matrix_word(
-                model, t, word, engine, 32)
+                model, t, word, "expm")
         lhs += term
         terms.append(term)
         n_used = N
@@ -755,14 +634,10 @@ def mckean_singer_check(model, p, t=1.0, tol=1e-10, n_max=18, engine="expm"):
 
     Qh, Gh = _kron_model(model, n)
     G = (p.scale(2) - FormMatrix.identity(table, n)) @ p.d()
-    Gp = _cmat_t(model, G, t)
+    Gp = _cmat(model, G, t)
     Dp = t * Qh + Gp
-    p_hat = _cmat_t(model, p, t)
+    p_hat = _cmat(model, p, t)
     rhs_sq = complex(np.trace(Gh @ p_hat @ _expm(-(Dp @ Dp))))
     rhs_lin = complex(np.trace(Gh @ p_hat @ _expm(-Dp)))
     return McKeanSingerReport(lhs, rhs_sq, rhs_lin, abs(lhs - rhs_sq),
                               terms, n_used)
-
-
-def _cmat_t(model, formmat, t):
-    return _cmat(model, formmat, t)

@@ -18,11 +18,9 @@ cancel, which is why no alternating sign appears below.)
 
 from __future__ import annotations
 
-import random as _random
 from dataclasses import dataclass, field
 from math import factorial
 
-from .clifford import CliffordElement, OperatorWord, getzler_order
 from .mehler import CurvatureMatrix, a_hat, heat_element, str_zero
 from .multiform import FormElement
 from .scalars import PiScalar, QC, two_pi_i_inv_pow
@@ -42,24 +40,6 @@ def symbol_of_F(*thetas):
     raise ValueError("curvature blocks take one or two slots")
 
 
-def f_symbol_order(*thetas):
-    """Getzler order of a curvature block, through the operator-word count:
-    |theta| + 1 for one slot and |theta_1| + |theta_2| for two."""
-    if len(thetas) == 1:
-        order = thetas[0].degree() + 1
-    elif len(thetas) == 2:
-        order = thetas[0].degree() + thetas[1].degree()
-    else:
-        raise ValueError("curvature blocks take one or two slots")
-    if order < 0:
-        return order
-    factors = tuple(OperatorWord.clifford(CliffordElement.generator(max(order, 1), 1))
-                    for _ in range(order))
-    word = OperatorWord(factors)
-    assert getzler_order(word) == order
-    return order
-
-
 @dataclass
 class LocalizationCase:
     """One admissible splitting of a word over a curvature background.
@@ -73,9 +53,6 @@ class LocalizationCase:
     R: CurvatureMatrix
     word: tuple
     gaps: tuple
-    mode: str = "symbolic-constant"
-    samples: int = 20000
-    seed: int = 0
 
     def __post_init__(self):
         n = len(self.word)
@@ -92,53 +69,16 @@ class LocalizationCase:
             theta.degree()   # raises on non-homogeneous entries
 
 
-def _order_bookkeeping(case):
-    """sum of block orders = |theta| + 2k - N, asserted before evaluation."""
-    word = case.word
-    total_deg = sum(th.degree() for th in word)
-    n = len(word)
-    k = len(case.gaps)
-    orders = []
-    prev = 0
-    for i in case.gaps:
-        block = word[prev:i]
-        orders.append(f_symbol_order(*block))
-        prev = i
-    assert sum(orders) == total_deg + 2 * k - n, "block-order bookkeeping failed"
-    return orders
-
-
-def simplex_volume_mc(n, samples, seed=0):
-    """Monte-Carlo volume of the ordered simplex inside the unit cube."""
-    if n == 0:
-        return 1.0
-    rng = _random.Random(seed)
-    hits = 0
-    for _ in range(samples):
-        u = [rng.random() for _ in range(n)]
-        if all(u[i] <= u[i + 1] for i in range(n - 1)):
-            hits += 1
-    return hits / samples
-
-
 def localized_term(case):
     """Boundary value of one splitting.
 
     Splittings with a two-slot block return the zero form.  The
     all-singleton splitting returns
-    str_zero(theta''_1 ^ ... ^ theta''_N ^ H_1) times the simplex volume.
+    str_zero(theta''_1 ^ ... ^ theta''_N ^ H_1) times the simplex volume 1/N!.
     """
     table = case.R.table
-    _order_bookkeeping(case)
     n = len(case.word)
-    k = len(case.gaps)
-    if k < n:
-        prev = 0
-        for i in case.gaps:
-            block = case.word[prev:i]
-            if len(block) == 2:
-                assert symbol_of_F(*block).is_zero()
-            prev = i
+    if len(case.gaps) < n:
         return table.zero()
     wedge = table.one()
     for theta in case.word:
@@ -146,13 +86,7 @@ def localized_term(case):
         if wedge.is_zero():
             return table.zero()
     kernel = heat_element(1, case.R).scale_prefactor(wedge)
-    value = str_zero(kernel)
-    if case.mode == "sampled":
-        vol = simplex_volume_mc(n, case.samples, case.seed)
-        return value.scale(vol)
-    if case.mode != "symbolic-constant":
-        raise ValueError(f"unknown simplex-time mode {case.mode!r}")
-    return value.scale(QC(1) / factorial(n))
+    return str_zero(kernel).scale(QC(1) / factorial(n))
 
 
 def _gap_patterns(n):
@@ -201,7 +135,7 @@ class LocalizationReport:
         }
 
 
-def limit_theorem_check(d, R, word, mode="symbolic-constant"):
+def limit_theorem_check(d, R, word):
     """Sum the boundary values over all admissible splittings and compare
     with the independently computed characteristic-form side.
 
@@ -217,7 +151,7 @@ def limit_theorem_check(d, R, word, mode="symbolic-constant"):
     for coeff, hw in hom_words:
         n = len(hw)
         for gaps in _gap_patterns(n):
-            case = LocalizationCase(d, R, hw, gaps, mode=mode)
+            case = LocalizationCase(d, R, hw, gaps)
             value = localized_term(case)
             patterns += 1
             if len(gaps) < n and not value.is_zero():

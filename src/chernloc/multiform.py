@@ -548,8 +548,15 @@ def _factorial(n):
 
 # -- expression parser ---------------------------------------------------------------
 
+# a decimal point or an exponent makes a literal inexact
+_INEXACT_LITERAL = _re.compile(r"[.eE]")
+# the end of a numeric literal awaiting its exponent's sign, as in "1e-3"
+_EXPONENT_OPEN = _re.compile(r"(?<![A-Za-z_0-9.])(?:\d+\.?\d*|\.\d+)[eE]$")
+
+
 def _parse_coeff(text):
-    """Parse 'a', 'a/b', 'ai', 'i', or '(a+bi)' into an exact/inexact scalar."""
+    """Parse 'a', 'a/b', 'ai', 'i', or '(a+bi)' into an exact/inexact scalar;
+    a literal with a decimal point or an exponent is inexact."""
     text = text.strip()
     if text.startswith("(") and text.endswith(")"):
         inner = text[1:-1].replace(" ", "")
@@ -569,10 +576,10 @@ def _parse_coeff(text):
         return QC(0, 1)
     if text.endswith("i"):
         body = text[:-1]
-        if "." in body:
+        if _INEXACT_LITERAL.search(body):
             return complex(0, float(body))
         return QC(0, Fraction(body))
-    if "." in text:
+    if _INEXACT_LITERAL.search(text):
         return complex(float(text))
     return QC(Fraction(text))
 
@@ -596,7 +603,9 @@ def parse_form(table, text):
             depth += 1
         elif ch == ")":
             depth -= 1
-        if ch in "+-" and depth == 0 and cur.strip():
+        if ch in "+-" and depth == 0 and _EXPONENT_OPEN.search(cur):
+            cur += ch
+        elif ch in "+-" and depth == 0 and cur.strip():
             terms.append((sign, cur))
             sign = 1 if ch == "+" else -1
             cur = ""

@@ -16,9 +16,12 @@ Three small coefficient types used throughout the package:
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 
 _EXACT = (int, Fraction)
+_HASH_IMAG = sys.hash_info.imag
+_HASH_MASK = (1 << sys.hash_info.width) - 1
 
 
 class QC:
@@ -117,12 +120,17 @@ class QC:
         if isinstance(other, _EXACT):
             return self.im == 0 and self.re == other
         if isinstance(other, (float, complex)):
-            return complex(self) == other
+            # exact, like Fraction against float
+            return self.re == other.real and self.im == other.imag
         return NotImplemented
 
     def __hash__(self):
-        # a real QC equals its Fraction, so it must hash like it
-        return hash((self.re, self.im)) if self.im else hash(self.re)
+        # combine the parts as CPython hashes complex, so that a QC hashes
+        # like every int, Fraction, float or complex it equals
+        h = (hash(self.re) + _HASH_IMAG * hash(self.im)) & _HASH_MASK
+        if h > _HASH_MASK >> 1:
+            h -= _HASH_MASK + 1
+        return -2 if h == -1 else h
 
     def __bool__(self):
         return not self.is_zero()

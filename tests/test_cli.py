@@ -122,3 +122,30 @@ def test_torus_cli_detects_underresolved_cutoff(capsys):
                                  "--beta", "0.5", "--json"])
     assert code == 1
     assert doc["rows"][0]["relative"] > 1e-4
+
+
+def test_malformed_json_is_a_json_error(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text('{"d": 2, "R": [')
+    code, doc = run_cli(capsys, ["localize", str(path)])
+    assert code == 2
+    assert doc["ok"] is False
+    assert doc["error"].startswith("JSONDecodeError: ")
+
+
+def test_missing_file_is_a_json_error(tmp_path, capsys):
+    code, doc = run_cli(capsys, ["mckean-singer", str(tmp_path / "absent.json")])
+    assert code == 2
+    assert doc["ok"] is False
+    assert doc["error"].startswith("FileNotFoundError: ")
+
+
+def test_model_without_p_is_a_json_error(tmp_path, capsys):
+    doc = _model_doc()
+    del doc["p"]
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    code, out = run_cli(capsys, ["mckean-singer", str(path)])
+    assert code == 2
+    assert out == {"ok": False,
+                   "error": "ValueError: model document needs an idempotent 'p'"}

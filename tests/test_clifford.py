@@ -4,10 +4,9 @@ import random
 import numpy as np
 import pytest
 
-from chernloc.clifford import (CliffordElement, OperatorWord, berezin_str,
-                               blade_product, clifford_mul, exterior_table,
-                               getzler_order, quantize, represent,
-                               spinor_representation, symbol)
+from chernloc.clifford import (CliffordElement, berezin_str, blade_product,
+                               clifford_mul, exterior_table, quantize,
+                               represent, spinor_representation, symbol)
 from chernloc.scalars import QC, two_over_i_pow
 
 
@@ -198,17 +197,3 @@ def test_canonical_serialization_golden():
         CliffordElement.one(4).scale(QC(0, -1))
     assert str(a) == "-i + 2 * e{1,3}"
     assert str(CliffordElement.zero(2)) == "0"
-
-
-def test_getzler_order_examples():
-    # a covariant derivative next to a degree-one Clifford factor
-    word = OperatorWord((OperatorWord.nabla(1),
-                         OperatorWord.clifford(CliffordElement.generator(2, 2))))
-    assert getzler_order(word) == 2
-    # c(theta'') for a degree l+1 form has order l+1
-    t = exterior_table(4)
-    theta2 = quantize(basis_form(t, (1, 2)))
-    word = OperatorWord((OperatorWord.clifford(theta2),))
-    assert getzler_order(word) == 2
-    assert getzler_order(OperatorWord((OperatorWord.identity(),))) == 0
-    assert getzler_order(OperatorWord((OperatorWord.scalar(),))) == 0

@@ -10,13 +10,13 @@ from chernloc.barcomplex import (BarChain, b, beta, cochain_mul,
                                  cyclic_symmetrize, is_cyclic)
 from chernloc.formmatrix import FormMatrix
 from chernloc.fredholm import (FredholmModel, bismut_chern, bismut_words,
-                               chern_t, connection_cochain, curvature,
+                               chern_t, connection_cochain,
                                curvature_cochain, curvature_word_matrix,
                                duhamel_expm, mckean_singer_check,
                                random_idempotent, random_model,
                                simplex_matrix_integral, simplex_str,
                                trace_expand)
-from chernloc.multiform import FormElement, GeneratorTable
+from chernloc.multiform import GeneratorTable
 from chernloc.sampling import random_word
 from chernloc.scalars import QC
 
@@ -68,8 +68,6 @@ def test_curvature_arity_zero_is_q_squared():
     rng = random.Random(1)
     t = base_table()
     m = random_model(t, rng)
-    comps = curvature(m)
-    assert np.allclose(comps.F0, m.Q @ m.Q)
     assert np.allclose(curvature_cochain(m).eval_word(()), m.Q @ m.Q)
 
 
@@ -77,9 +75,8 @@ def test_curvature_two_slots_vanish_on_constants():
     rng = random.Random(2)
     t = base_table()
     m = random_model(t, rng)
-    comps = curvature(m)
     f, g = t.scalar(QC(2)), t.scalar(QC(Fraction(1, 3)))
-    assert np.allclose(comps.F2(f, g), 0)
+    assert np.allclose(curvature_cochain(m).eval_word((f, g)), 0)
 
 
 def test_curvature_matches_cochain_algebra():
@@ -121,45 +118,19 @@ def test_engines_agree():
     w = np.diag([1, 1, 1, -1, -1]).astype(complex)
     for k in (0, 1, 2, 3):
         Bs = [rs.randn(5, 5) + 1j * rs.randn(5, 5) for _ in range(k)]
-        dd = simplex_str(A, Bs, w, "dd")
         ex = simplex_str(A, Bs, w, "expm")
         qd = simplex_str(A, Bs, w, "quad", quad_order=24)
-        assert abs(dd - ex) < 1e-10 * max(1.0, abs(ex))
         assert abs(qd - ex) < 1e-9 * max(1.0, abs(ex))
 
 
-def test_dd_handles_near_confluent_spectrum():
-    # eigenvalue gaps straddling the cluster threshold must stay accurate
-    w = np.diag([1, 1, -1]).astype(complex)
-    rs = np.random.RandomState(8)
-    Bs = [rs.randn(3, 3) + 1j * rs.randn(3, 3) for _ in range(2)]
-    for gap in (1e-3, 1e-5, 1e-7, 1e-9, 0.0):
-        A = np.diag([0.5, 0.5 + gap, 0.5 + 2 * gap]).astype(complex)
-        dd = simplex_str(A, Bs, w, "dd")
-        ex = simplex_str(A, Bs, w, "expm")
-        assert abs(dd - ex) < 1e-9, gap
-
-
-def test_dd_on_non_hermitian_generator():
-    # complex spectra are legal inputs for the explicit dd engine
-    rs = np.random.RandomState(12)
-    A = rs.randn(4, 4) + 0.3j * rs.randn(4, 4)
-    A = A @ A.T + 4.0 * np.eye(4)     # keep the spectrum well separated
-    w = np.diag([1, 1, -1, -1]).astype(complex)
-    Bs = [rs.randn(4, 4) + 1j * rs.randn(4, 4) for _ in range(2)]
-    dd = simplex_str(A, Bs, w, "dd")
-    ex = simplex_str(A, Bs, w, "expm")
-    assert abs(dd - ex) < 1e-9 * max(1.0, abs(ex))
-
-
-def test_dd_handles_confluent_spectrum():
+def test_expm_on_confluent_spectrum_is_closed_form():
     # a fully degenerate generator: the integral collapses to e^-lambda / k!
     lam = 0.7
     A = lam * np.eye(3, dtype=complex)
     w = np.eye(3, dtype=complex)
     rs = np.random.RandomState(3)
     Bs = [rs.randn(3, 3) for _ in range(2)]
-    got = simplex_str(A, Bs, w, "dd")
+    got = simplex_str(A, Bs, w, "expm")
     want = math.exp(-lam) / math.factorial(2) * np.trace(w @ Bs[0] @ Bs[1])
     assert abs(got - want) < 1e-12
 
@@ -178,9 +149,9 @@ def test_central_q_squared_closed_form():
     assert np.allclose(m.Q @ m.Q, lam * np.eye(4))
     word = (t.gen("x"), t.gen("y"))
     tt = 0.8
-    comps = curvature(m)
-    B1, B2 = comps.F1(t.gen("x")), comps.F1(t.gen("y"))
-    B12 = comps.F2(t.gen("x"), t.gen("y"))
+    F = curvature_cochain(m)
+    B1, B2 = F.eval_word((t.gen("x"),)), F.eval_word((t.gen("y"),))
+    B12 = F.eval_word((t.gen("x"), t.gen("y")))
     closed = math.exp(-tt * tt * lam) * (
         (tt ** 4) / 2.0 * m.str_of(B1 @ B2) - (tt ** 2) * m.str_of(B12))
     got = chern_t(m, tt, word, engine="expm")
@@ -206,9 +177,17 @@ def test_transfer_matrix_equals_composition_sum():
     m = random_model(t, rng, 2, 2, scale=0.35, q_scale=0.8)
     p = random_idempotent(t, rng, n=2, scale=Fraction(1, 4))
     for coeff, word in bismut_words(p, 2):
-        va = chern_t(m, 1.0, word, engine="auto")
-        vd = chern_t(m, 1.0, word, engine="dd")
-        assert abs(va - vd) < 1e-11
+        va = chern_t(m, 1.0, word)
+        vq = chern_t(m, 1.0, word, engine="quad")
+        assert abs(va - vq) < 1e-11
+
+
+def test_chern_rejects_unknown_engine():
+    rng = random.Random(6)
+    t = base_table()
+    m = random_model(t, rng)
+    with pytest.raises(ValueError):
+        chern_t(m, 1.0, (t.gen("x"),), engine="dd")
 
 
 # -- the character ------------------------------------------------------------------------------
@@ -225,9 +204,7 @@ def test_chern_engines_agree_on_random_words():
         if chain.is_zero():
             continue
         ex = chern_t(m, 0.7, chain, engine="expm")
-        dd = chern_t(m, 0.7, chain, engine="dd")
         qd = chern_t(m, 0.7, chain, engine="quad")
-        assert abs(ex - dd) < 1e-9 * max(1.0, abs(ex))
         assert abs(ex - qd) < 1e-8 * max(1.0, abs(ex))
         compared += 1
     assert compared >= 8
@@ -300,20 +277,17 @@ def test_exponential_commutator_supertrace_vanishes_on_cyclic_words():
     t = base_table()
     m = random_model(t, rng)
     A = m.Q @ m.Q
-    comps = curvature(m)
+    F = curvature_cochain(m)
 
     def exp_f0(word):
         return expm(-A)
 
     def exp_f1(word):
-        theta = FormElement(t, {word[0]: QC(1)})
-        return -simplex_matrix_integral(A, [comps.F1(theta)])
+        return -simplex_matrix_integral(A, [F.eval_word(word)])
 
     def exp_f2(word):
-        th1 = FormElement(t, {word[0]: QC(1)})
-        th2 = FormElement(t, {word[1]: QC(1)})
-        return simplex_matrix_integral(A, [comps.F1(th1), comps.F1(th2)]) \
-            - simplex_matrix_integral(A, [comps.F2(th1, th2)])
+        return simplex_matrix_integral(A, [F.eval_word(word[:1]), F.eval_word(word[1:])]) \
+            - simplex_matrix_integral(A, [F.eval_word(word)])
 
     from chernloc.barcomplex import Cochain
     exp_f = Cochain(t, 0, {0: exp_f0, 1: exp_f1, 2: exp_f2},

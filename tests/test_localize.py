@@ -1,12 +1,10 @@
-import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from chernloc.localize import (LocalizationCase, f_symbol_order,
-                               limit_theorem_check, localized_term,
-                               simplex_volume_mc, symbol_of_F)
+from chernloc.localize import (LocalizationCase, limit_theorem_check,
+                               localized_term, symbol_of_F)
 from chernloc.mehler import CurvatureMatrix, a_hat
 from chernloc.multiform import GeneratorTable
 from chernloc.sampling import random_form
@@ -37,15 +35,6 @@ def test_symbol_rejects_three_slots(curvature_d2):
     w = table.gen("w")
     with pytest.raises(ValueError):
         symbol_of_F(w, w, w)
-
-
-def test_symbol_orders(curvature_d4):
-    table, _ = curvature_d4
-    u, v = table.gen("u"), table.gen("v")
-    theta = table.sigma() * (u * v)     # degree 3
-    assert f_symbol_order(theta) == 4
-    assert f_symbol_order(u, v) == 4
-    assert f_symbol_order(table.sigma() * u) == 2
 
 
 # -- localized terms ------------------------------------------------------------------------
@@ -92,39 +81,6 @@ def test_worked_d2_example(curvature_d2):
     value = localized_term(case)
     want = w.scale(alpha).scale(two_pi_i_inv_pow(2))
     assert value == want
-
-
-def test_sampled_mode_matches_symbolic_volume(curvature_d2):
-    table, R = curvature_d2
-    w = table.gen("w")
-    word = (table.sigma() * w,)
-    exact = localized_term(LocalizationCase(2, R, word, (1,)))
-    sampled = localized_term(LocalizationCase(2, R, word, (1,),
-                                              mode="sampled", samples=40000,
-                                              seed=11))
-    (mono, c_exact), = exact.terms.items()
-    c_sampled = sampled.terms[mono]
-    assert abs(complex(c_sampled.evalf()) / complex(c_exact.evalf()) - 1) < 0.05
-
-
-def test_simplex_volume_monte_carlo():
-    assert simplex_volume_mc(0, 10) == 1.0
-    for n in (1, 2, 3):
-        est = simplex_volume_mc(n, 60000, seed=5)
-        assert abs(est * math.factorial(n) - 1.0) < 0.08
-
-
-def test_order_bookkeeping_assertion(curvature_d4):
-    table, R = curvature_d4
-    s = table.sigma()
-    u, v = table.gen("u"), table.gen("v")
-    # sum of block orders = |theta| + 2k - N for every admissible pattern
-    for word, gaps in [
-        ((s * u, s * v), (1, 2)),
-        ((s * u, s * v), (2,)),
-        ((u, v, s * u), (2, 3)),
-    ]:
-        localized_term(LocalizationCase(4, R, word, gaps))   # asserts inside
 
 
 # -- the limit theorem ---------------------------------------------------------------------------

@@ -171,6 +171,19 @@ def test_canonical_text_form():
     assert t.parse("0").is_zero()
 
 
+def test_parse_exponent_literals():
+    # the sign of an exponent does not start a new term, and an exponent
+    # makes a literal inexact, like a decimal point
+    t = simple_table()
+    (x,), (u,) = t.gen("x").terms, t.gen("u").terms
+    f = t.parse("1e-3 * x - 2.5E+2 u")
+    assert f.terms[x] == 1e-3 and isinstance(f.terms[x], complex)
+    assert f.terms[u] == -250.0 and isinstance(f.terms[u], complex)
+    assert t.parse("2e-1i x").terms[x] == 0.2j
+    assert t.parse("x-u") == t.gen("x") - t.gen("u")
+    assert t.parse("1/2 x - u").terms[x] == QC(Fraction(1, 2))
+
+
 def test_table_text_roundtrip():
     t = simple_table()
     doc = t.to_text()

@@ -96,6 +96,24 @@ def test_hashes_agree_with_equality(x, pi):
     assert hash(QC(x, 1)) == hash(QC(Fraction(x), Fraction(1)))
 
 
+def test_qc_compares_exactly_with_floats():
+    # like Fraction against float: equal only when the values are equal
+    assert QC(Fraction(1, 3)) != 1 / 3
+    assert QC(Fraction(1, 3)) != complex(1 / 3, 0)
+    assert QC(Fraction(1, 2), Fraction(1, 4)) == 0.5 + 0.25j
+    assert QC(Fraction(1, 2)) == 0.5
+    assert QC(1, 1) != 1 + 1.5j
+    assert QC(1, 1) == 1 + 1j and hash(QC(1, 1)) == hash(1 + 1j)
+
+
+@given(st.floats(allow_nan=False, allow_infinity=False),
+       st.floats(allow_nan=False, allow_infinity=False))
+def test_qc_hashes_like_equal_complex(re, im):
+    z = complex(re, im)
+    q = QC(Fraction(re), Fraction(im))
+    assert q == z and hash(q) == hash(z)
+
+
 def test_scalars_as_keys_next_to_ints():
     table = {1: "one", Fraction(1, 2): "half", 0: "zero"}
     assert table[QC(1)] == "one"
