@@ -10,7 +10,12 @@ monomials of a form algebra.  On top of this the module provides:
   summed in one block upper-triangular matrix exponential, with nested
   Gauss-Legendre quadrature over each splitting as the test oracle;
 * idempotent calculus: the cyclic chain built from R = (2p-1)dp + sigma(dp)^2
-  and the heat-supertrace comparison for D_p = D + c((2p-1)dp).
+  and the heat-supertrace comparison for D_p = D + c((2p-1)dp), whose left
+  side sums the character of the whole chain in one Duhamel integral
+  int e^(-s_0 X) (-F(sigma p)) e^(-s_1 X) with X = t^2 Q^2 - F(R) + F(R, R);
+  no two-slot block joins sigma p to R, since F(.,.) reads only sigma-free
+  parts and sigma p has none.  The per-word series (``bismut_words`` and
+  ``chern_t``) is the test oracle.
 
 Words may have matrix-valued entries (forms tensored with M_n); the
 evaluation then runs on H tensor C^n with the trace pattern of the index
@@ -24,7 +29,7 @@ concurrently.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as _cartesian
 
@@ -524,24 +529,15 @@ def bismut_words(p, n_max):
             yield coeff, tuple([R] * k + [sigma_p] + [R] * (N - k))
 
 
-def bismut_chern(p, n_max, report=False):
+def bismut_chern(p, n_max):
     """The cyclic chain sum_N (-1)^N sum_k tr(R,...,R, sigma p, R,...,R).
 
     Entries are index-expanded into scalar words.  Truncation is automatic
-    once R vanishes; otherwise the series is cut at ``n_max`` (the evaluation
-    against the character converges factorially).
+    once R vanishes; otherwise the series is cut at ``n_max``.
     """
-    chain = BarChain.from_words(p.table, (
+    return BarChain.from_words(p.table, (
         pair for coeff, word in bismut_words(p, n_max)
         for pair in _trace_words(word, coeff)))
-    if report:
-        R = curvature_word_matrix(p)
-        info = {
-            "natural_truncation": R.is_zero(),
-            "n_max": n_max,
-        }
-        return chain, info
-    return chain
 
 
 def random_idempotent(table, rng, n=2, scale=Fraction(1, 2), rank=1):
@@ -582,8 +578,6 @@ class McKeanSingerReport:
     rhs_heat_sq: complex
     rhs_heat_lin: complex
     difference: float
-    terms: list = field(default_factory=list)
-    n_used: int = 0
     note: str = ("comparison uses exp(-D_p^2); exp(-D_p) is reported "
                  "alongside because the two differ for a generic model")
 
@@ -593,51 +587,42 @@ class McKeanSingerReport:
             "rhs_heat_sq": [self.rhs_heat_sq.real, self.rhs_heat_sq.imag],
             "rhs_heat_lin": [self.rhs_heat_lin.real, self.rhs_heat_lin.imag],
             "difference": self.difference,
-            "terms": [[z.real, z.imag] for z in self.terms],
-            "n_used": self.n_used,
             "note": self.note,
         }
 
 
-def mckean_singer_check(model, p, t=1.0, tol=1e-10, n_max=18):
+def mckean_singer_check(model, p, t=1.0):
     """Compare the character of the idempotent chain with the heat
     supertrace of the twisted operator D_p = D + c((2p-1)dp).
 
-    The left side sums matrix words until the factorially decaying terms
-    drop below ``tol``; the right side is a dense matrix exponential.
+    The left side is the whole chain sum_N (-1)^N sum_k Ch(R^k, sigma p,
+    R^(N-k)) in closed form.  A splitting of such a word with i one-slot and
+    j two-slot R blocks carries the sign (-1)^(N + i + j + 1) = -(-1)^j, so
+    the splittings of all words together are the Dyson expansion of
+
+        Str int_{s_0 + s_1 = 1} e^(-s_0 X) (-F1(sigma p)) e^(-s_1 X) ds,
+        X = t^2 Q^2 - F1(R) + F2(R, R),
+
+    one simplex integral with one block.  The blocks F2(R, sigma p) and
+    F2(sigma p, R) that would join sigma p to a neighbour vanish: F2 reads
+    only the sigma-free parts of its slots, and sigma p has none.  The right
+    side is a dense matrix exponential.
     """
     table = model.table
     n = p.shape[0]
     R = curvature_word_matrix(p)
     sigma_p = p.scale_form(table.sigma())
-    lhs = 0j
-    terms = []
-    n_used = 0
-    below = 0
-    for N in range(n_max + 1):
-        term = 0j
-        for k in range(N + 1):
-            word = tuple([R] * k + [sigma_p] + [R] * (N - k))
-            term += complex(QC((-1) ** N)) * _chern_matrix_word(
-                model, t, word, "expm")
-        lhs += term
-        terms.append(term)
-        n_used = N
-        if R.is_zero():
-            break
-        if abs(term) < tol / 10:
-            below += 1
-            if below >= 2:
-                break
-        else:
-            below = 0
-
+    cache = model.__dict__.setdefault("_block_cache", {})
     Qh, Gh = _kron_model(model, n)
+    X = (t ** 2) * (Qh @ Qh) - _scaled_f1(model, t, R, cache) \
+        + _scaled_f2(model, t, R, R, cache)
+    inner = simplex_matrix_integral(X, [-_scaled_f1(model, t, sigma_p, cache)])
+    lhs = complex(np.trace(Gh @ inner))
+
     G = (p.scale(2) - FormMatrix.identity(table, n)) @ p.d()
     Gp = _cmat(model, G, t)
     Dp = t * Qh + Gp
     p_hat = _cmat(model, p, t)
     rhs_sq = complex(np.trace(Gh @ p_hat @ _expm(-(Dp @ Dp))))
     rhs_lin = complex(np.trace(Gh @ p_hat @ _expm(-Dp)))
-    return McKeanSingerReport(lhs, rhs_sq, rhs_lin, abs(lhs - rhs_sq),
-                              terms, n_used)
+    return McKeanSingerReport(lhs, rhs_sq, rhs_lin, abs(lhs - rhs_sq))

@@ -561,15 +561,16 @@ def _parse_coeff(text):
     if text.startswith("(") and text.endswith(")"):
         inner = text[1:-1].replace(" ", "")
         m = _re.fullmatch(
-            r"(?P<re>[+-]?\d+(?:/\d+)?(?:\.\d+)?)"
-            r"(?P<sign>[+-])(?P<im>\d+(?:/\d+)?(?:\.\d+)?)?i", inner)
+            r"(?P<re>[+-]?\d+(?:/\d+)?(?:\.\d+)?(?:[eE][+-]?\d+)?)"
+            r"(?P<sign>[+-])(?P<im>\d+(?:/\d+)?(?:\.\d+)?(?:[eE][+-]?\d+)?)?i",
+            inner)
         if not m:
             raise ValueError(f"bad complex coefficient {text!r}")
         re_part = m.group("re")
         im_part = m.group("im") or "1"
         if m.group("sign") == "-":
             im_part = "-" + im_part
-        if "." in re_part or "." in im_part:
+        if _INEXACT_LITERAL.search(re_part + im_part):
             return complex(float(Fraction(re_part)), float(Fraction(im_part)))
         return QC(Fraction(re_part), Fraction(im_part))
     if text == "i":
@@ -627,7 +628,13 @@ def parse_form(table, text):
                 g = table.gen(m.group(1))
                 for _ in range(int(m.group(2) or 1)):
                     value = value * g
+            elif m and fac != "i":
+                raise ValueError(f"unknown generator {m.group(1)!r}")
             else:
-                value = value.scale(_parse_coeff(fac))
+                try:
+                    coeff = _parse_coeff(fac)
+                except ZeroDivisionError:
+                    raise ValueError(f"zero denominator in {fac!r}") from None
+                value = value.scale(coeff)
         result += value
     return result

@@ -236,7 +236,7 @@ def test_criterion_7_mckean_singer():
         p = random_idempotent(table, rng, n=n, scale=Fraction(1, 4))
         if curvature_word_matrix(p).is_zero():
             ok = False
-        rep = mckean_singer_check(model, p, t=t, tol=1e-10)
+        rep = mckean_singer_check(model, p, t=t)
         worst = max(worst, rep.difference)
         if rep.difference >= 1e-8:
             ok = False

@@ -67,6 +67,11 @@ def test_mckean_singer_cli(tmp_path, capsys):
     assert doc["ok"]
     assert doc["difference"] < 1e-8
     assert "exp(-D_p^2)" in doc["note"]
+    # the chain is summed in closed form: no series keys, no --n-max
+    assert set(doc) == {"lhs", "rhs_heat_sq", "rhs_heat_lin", "difference",
+                        "note", "ok", "relations"}
+    with pytest.raises(SystemExit):
+        main(["mckean-singer", str(path), "--n-max", "5"])
 
 
 def test_bismut_chern_cli(tmp_path, capsys):
@@ -149,3 +154,26 @@ def test_model_without_p_is_a_json_error(tmp_path, capsys):
     assert code == 2
     assert out == {"ok": False,
                    "error": "ValueError: model document needs an idempotent 'p'"}
+
+
+def test_zero_denominator_in_a_word_is_a_json_error(tmp_path, capsys):
+    path = tmp_path / "case.json"
+    path.write_text(json.dumps({
+        "d": 2,
+        "generators": ["w"],
+        "R": [["0", "w"], ["-w", "0"]],
+        "word": ["1/0 * sigma w"],
+    }))
+    code, doc = run_cli(capsys, ["localize", str(path)])
+    assert code == 2
+    assert doc == {"ok": False,
+                   "error": "ValueError: zero denominator in '1/0'"}
+
+
+def test_unknown_generator_in_a_table_is_a_json_error(tmp_path, capsys):
+    path = tmp_path / "table.txt"
+    path.write_text("d 4\nx 1 u\ny 1 0\n")
+    code, doc = run_cli(capsys, ["check-bar", str(path), "--chains", "1"])
+    assert code == 2
+    assert doc == {"ok": False, "error": "ValueError: unknown generator 'u'"}
+

@@ -184,6 +184,30 @@ def test_parse_exponent_literals():
     assert t.parse("1/2 x - u").terms[x] == QC(Fraction(1, 2))
 
 
+def test_parse_rejects_unknown_names_and_zero_denominators():
+    t = simple_table()
+    with pytest.raises(ValueError, match="unknown generator 'q'"):
+        t.parse("3 * q")
+    with pytest.raises(ValueError, match="unknown generator 'q'"):
+        t.parse("x q^2")
+    for text in ("1/0 * x", "1/0i x", "(1/0+1i) x", "(1+1/0i) x"):
+        with pytest.raises(ValueError, match="zero denominator"):
+            t.parse(text)
+    # 'i' is the imaginary unit, not a generator
+    (x,) = t.gen("x").terms
+    assert t.parse("i x").terms[x] == QC(0, 1)
+
+
+def test_parse_exponents_in_complex_literals():
+    t = simple_table()
+    (x,) = t.gen("x").terms
+    c = t.parse("(1e-3+1i) * x").terms[x]
+    assert c == complex(1e-3, 1) and isinstance(c, complex)
+    c = t.parse("(2.5E+2-1e-1i) x").terms[x]
+    assert c == complex(250, -0.1) and isinstance(c, complex)
+    assert t.parse("(1/2-3i) x").terms[x] == QC(Fraction(1, 2), -3)
+
+
 def test_table_text_roundtrip():
     t = simple_table()
     doc = t.to_text()

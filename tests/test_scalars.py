@@ -124,3 +124,52 @@ def test_scalars_as_keys_next_to_ints():
     assert len({1, QC(1), PiScalar(1, 0), TauPoly.const(1)}) == 1
     assert len({QC(0, 1), QC(0, 1), PiScalar(QC(0, 1), 0)}) == 1
     assert len({PiScalar(2, 1), PiScalar(QC(2), 1), PiScalar(2, 2), 2}) == 3
+
+
+qcs = st.builds(QC, exact_reals, exact_reals)
+small_floats = st.floats(-1e6, 1e6, allow_nan=False)
+
+
+@given(qcs, qcs, qcs)
+def test_qc_field_laws_hold_exactly(a, b, c):
+    assert (a + b) + c == a + (b + c)
+    assert (a * b) * c == a * (b * c)
+    assert a + b == b + a
+    assert a * b == b * a
+    assert a * (b + c) == a * b + a * c
+    assert a + QC(0) == a and a * QC(1) == a and a - a == QC(0)
+
+
+@given(qcs)
+def test_qc_inverse(a):
+    if a.is_zero():
+        with pytest.raises(ZeroDivisionError):
+            a.inverse()
+    else:
+        assert a * a.inverse() == QC(1)
+        assert a / a == QC(1) and 1 / a == a.inverse()
+
+
+@given(qcs, exact_reals)
+def test_qc_mixes_exactly_with_int_and_fraction(a, x):
+    q = QC(x)
+    pairs = [(a + x, a + q), (x + a, q + a), (a - x, a - q), (x - a, q - a),
+             (a * x, a * q), (x * a, q * a)]
+    if x:
+        pairs.append((a / x, a / q))
+    if a:
+        pairs.append((x / a, q / a))
+    for got, want in pairs:
+        assert isinstance(got, QC) and got == want
+
+
+@given(qcs, small_floats)
+def test_qc_with_a_float_operand_gives_complex(a, f):
+    z = complex(a)
+    pairs = [(a + f, z + f), (f + a, f + z), (a - f, z - f), (f - a, f - z),
+             (a * f, z * f), (f * a, f * z), (a * complex(f, 1), z * complex(f, 1))]
+    if f:
+        pairs.append((a / f, z / f))
+    for got, want in pairs:
+        assert type(got) is complex
+        assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
