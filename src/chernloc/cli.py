@@ -285,7 +285,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (OSError, ValueError, KeyError, TypeError) as exc:
+    except (OSError, ValueError, KeyError, TypeError, ArithmeticError) as exc:
         _emit({"ok": False, "error": f"{type(exc).__name__}: {exc}"}, False)
         return 2
 

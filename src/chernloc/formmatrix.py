@@ -7,6 +7,9 @@ kept as a tuple of row tuples; all operations return new matrices.
 
 from __future__ import annotations
 
+from fractions import Fraction
+from math import factorial
+
 from .multiform import FormElement
 
 
@@ -178,46 +181,26 @@ class FormMatrix:
     __repr__ = __str__
 
 
-def mat_power_series(mat, coeffs):
-    """sum coeffs[k] * mat^k, truncated by nilpotency of the entries.
+def mat_powers(mat):
+    """[I, mat, mat^2, ...] up to the last nonzero power.
 
-    ``coeffs`` maps powers to scalars; iteration stops when the running
-    matrix power vanishes, so the dict may be generous.
+    The entries of ``mat`` must have positive form degree, so the list ends
+    by nilpotency.
     """
-    table = mat.table
-    n = mat.shape[0]
-    out = FormMatrix.zero(table, n)
-    if 0 in coeffs:
-        out = out + FormMatrix.identity(table, n, coeffs[0])
-    power = FormMatrix.identity(table, n)
-    k = 0
-    max_pow = max(coeffs)
-    while k < max_pow:
-        power = power @ mat
-        k += 1
+    powers = [FormMatrix.identity(mat.table, mat.shape[0])]
+    while True:
+        power = powers[-1] @ mat
         if power.is_zero():
-            break
-        if k in coeffs:
-            out = out + power.scale(coeffs[k])
-    return out
+            return powers
+        powers.append(power)
 
 
 def mat_exp_nilpotent(mat):
     """exp of a matrix whose entries all have positive form degree."""
-    from fractions import Fraction
-    table = mat.table
-    n = mat.shape[0]
-    out = FormMatrix.identity(table, n)
-    power = FormMatrix.identity(table, n)
-    k = 1
-    fact = 1
-    while True:
-        power = power @ mat
-        if power.is_zero():
-            return out
-        fact *= k
-        out = out + power.scale(Fraction(1, fact))
-        k += 1
+    out = FormMatrix.zero(mat.table, mat.shape[0])
+    for k, power in enumerate(mat_powers(mat)):
+        out = out + power.scale(Fraction(1, factorial(k)))
+    return out
 
 
 def det_leibniz(mat):

@@ -1,9 +1,12 @@
 """Gaussian kernels with nilpotent curvature coefficients.
 
 The model fiber is R^d with an antisymmetric matrix R of even nilpotent
-2-forms.  All matrix functions of R (coth, cosech, sinh, determinants,
-inverses) are truncated power series about R = 0, which terminate because
-the form algebra is nilpotent.
+2-forms.  The matrix functions of R (sinh(z)/z, z coth z, z csch z, exp)
+are coefficient lists summed over one list of powers [I, M, M^2, ...],
+which ends because the form algebra is nilpotent.  Determinants and
+inverses of Gaussian data come from one Gauss-Jordan elimination over the
+commutative local ring of even forms, whose pivots also test that the
+numeric part is positive definite (Sylvester's criterion).
 
 Main objects:
 
@@ -28,11 +31,11 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .formmatrix import FormMatrix, det_leibniz, mat_power_series
+from .formmatrix import FormMatrix, mat_powers
 from .multiform import (FormElement, GeneratorTable, exp_nilpotent,
-                        log_one_plus)
+                        inverse_unit, log_one_plus)
 from .scalars import (QC, PiScalar, TauPoly, bernoulli_numbers, coerce,
-                      iszero, two_over_i_pow)
+                      two_over_i_pow)
 
 KAPPA_COEFF = Fraction(-1, 2)
 
@@ -107,60 +110,57 @@ def _qc_sqrt(x):
     return None
 
 
-# -- matrix series ---------------------------------------------------------------------
+# -- power series over one power list ------------------------------------------------
+#
+# Each series is a list of coefficients c_k of z^k; a matrix function of M is
+# sum_k c_k M^k over the list of powers of M, computed once per kernel.
 
 
-def _series_sinhc(M):
-    """sinh(M)/M as an even power series (truncates by nilpotency)."""
-    coeffs = {0: Fraction(1)}
-    k = 2
-    while k <= M.shape[0] * max(2, M.table.top_degree):
-        coeffs[k] = Fraction(1, math.factorial(k + 1))
-        k += 2
-    return mat_power_series(M, coeffs)
+def _sinhc_coeffs(n):
+    """sinh(z)/z = sum z^k / (k+1)! over even k."""
+    return [Fraction(1 - k % 2, math.factorial(k + 1)) for k in range(n)]
 
 
-def _even_bernoulli_series(M, weight):
-    """sum_m weight(m) * M^(2m) with weight built from Bernoulli numbers."""
-    bound = M.table.top_degree + 2
-    bern = bernoulli_numbers(2 * bound)
-    coeffs = {0: weight(0, bern)}
-    for m in range(1, bound):
-        coeffs[2 * m] = weight(m, bern)
-    return mat_power_series(M, coeffs)
+def _zcoth_coeffs(n):
+    """z coth z = sum 2^k B_k z^k / k! over even k."""
+    b = bernoulli_numbers(n)
+    return [Fraction(2 ** k * (1 - k % 2)) * b[k] / math.factorial(k)
+            for k in range(n)]
 
 
-def _series_zcoth(M):
-    return _even_bernoulli_series(
-        M, lambda m, b: Fraction(4 ** m) * b[2 * m] / math.factorial(2 * m))
+def _zcsch_coeffs(n):
+    """z csch z = sum (2 - 2^k) B_k z^k / k! over even k."""
+    b = bernoulli_numbers(n)
+    return [Fraction((2 - 2 ** k) * (1 - k % 2)) * b[k] / math.factorial(k)
+            for k in range(n)]
 
 
-def _series_zcsch(M):
-    return _even_bernoulli_series(
-        M, lambda m, b: Fraction(2 - 4 ** m) * b[2 * m] / math.factorial(2 * m))
+def _exp_coeffs(n):
+    return [Fraction(1, math.factorial(k)) for k in range(n)]
 
 
-def _series_exp(M):
-    coeffs = {k: Fraction(1, math.factorial(k))
-              for k in range(0, M.table.top_degree + 2)}
-    return mat_power_series(M, coeffs)
+def _cauchy(a, b):
+    """Coefficients of the product of two series, as many as ``a`` has."""
+    return [sum((a[i] * b[k - i] for i in range(k + 1)), Fraction(0))
+            for k in range(len(a))]
+
+
+def _power_sum(powers, coeffs):
+    """sum_k coeffs[k] * powers[k] for powers = [I, M, M^2, ...]."""
+    out = FormMatrix.zero(powers[0].table, powers[0].shape[0])
+    for power, c in zip(powers, coeffs):
+        if c:
+            out = out + power.scale(c)
+    return out
 
 
 def _mat_log_trace(S):
     """trace log S for S = I + nilpotent."""
-    table = S.table
-    n = S.shape[0]
-    N = S - FormMatrix.identity(table, n)
-    acc = table.zero()
-    power = FormMatrix.identity(table, n)
-    k = 1
-    while True:
-        power = power @ N
-        if power.is_zero():
-            return acc
-        c = Fraction(1, k) if k % 2 else Fraction(-1, k)
-        acc = acc + power.trace().scale(c)
-        k += 1
+    powers = mat_powers(S - FormMatrix.identity(S.table, S.shape[0]))
+    acc = S.table.zero()
+    for k in range(1, len(powers)):
+        acc = acc + powers[k].trace().scale(Fraction(1 if k % 2 else -1, k))
+    return acc
 
 
 def a_hat(R):
@@ -169,103 +169,52 @@ def a_hat(R):
     Computed as exp(-1/2 tr log(sinh(R/2)/(R/2))); even, constant term 1,
     only degrees divisible by four occur.
     """
-    M = R.mat.scale(Fraction(1, 2))
-    S = _series_sinhc(M)
+    powers = mat_powers(R.mat.scale(Fraction(1, 2)))
+    S = _power_sum(powers, _sinhc_coeffs(len(powers)))
     return exp_nilpotent(_mat_log_trace(S).scale(Fraction(-1, 2)))
 
 
-# -- numeric/nilpotent matrix inversion and determinants -------------------------------
+# -- determinant and inverse by one elimination -----------------------------------------
 
 
-def _constant_part(mat):
-    return [[e.constant_term() for e in row] for row in mat.rows]
+def _eliminate(mat):
+    """(det, inverse) of a square matrix of even forms.
 
-
-def _qc_matrix_inverse(rows):
-    """Gauss-Jordan inverse over QC (or complex) scalars."""
-    n = len(rows)
-    a = [[coerce(x) for x in r] + [QC(1) if i == j else QC(0) for j in range(n)]
-         for i, r in enumerate(rows)]
-    for col in range(n):
-        piv = None
-        for r in range(col, n):
-            if not iszero(a[r][col]):
-                piv = r
-                break
-        if piv is None:
-            raise ZeroDivisionError("singular numeric part")
-        a[col], a[piv] = a[piv], a[col]
-        inv = a[col][col]
-        a[col] = [x / inv for x in a[col]]
-        for r in range(n):
-            if r != col and not iszero(a[r][col]):
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return [row[n:] for row in a]
-
-
-def _check_positive_definite(rows):
-    """Sylvester criterion on the numeric part of a Gaussian quadratic form."""
-    n = len(rows)
-    for k in range(1, n + 1):
-        sub = [[complex(coerce(rows[i][j])) for j in range(k)] for i in range(k)]
-        det = _complex_det(sub)
-        if not (abs(det.imag) < 1e-12 * max(1.0, abs(det)) and det.real > 0):
-            raise ValueError("numeric part of the Gaussian form is not "
-                             "positive definite")
-
-
-def _complex_det(rows):
-    n = len(rows)
-    a = [row[:] for row in rows]
-    det = 1.0 + 0j
-    for col in range(n):
-        piv = max(range(col, n), key=lambda r: abs(a[r][col]))
-        if abs(a[piv][col]) == 0:
-            return 0j
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            det = -det
-        det *= a[col][col]
-        for r in range(col + 1, n):
-            f = a[r][col] / a[col][col]
-            for c in range(col, n):
-                a[r][c] -= f * a[col][c]
-    return det
-
-
-def _mat_inverse(mat):
-    """Inverse of a numeric-plus-nilpotent FormMatrix.
-
-    (M0 + N)^-1 = sum_k (-M0^-1 N)^k M0^-1, a finite geometric series.
+    Gauss-Jordan without row exchanges over the commutative local ring of
+    even forms; each pivot is inverted with :func:`inverse_unit`.  The
+    constant terms of the pivots are ratios of leading principal minors of
+    the numeric part, so requiring each to be real and positive is
+    Sylvester's criterion: a Gaussian form whose numeric part is not
+    positive definite raises ValueError.
     """
     table = mat.table
-    inv0_rows = _qc_matrix_inverse(_constant_part(mat))
-    inv0 = FormMatrix(table, [[table.scalar(x) for x in r] for r in inv0_rows])
-    nil = mat - FormMatrix(
-        table, [[table.scalar(x) for x in r] for r in _constant_part(mat)])
-    out = inv0
-    term = inv0
-    while True:
-        term = (inv0 @ nil @ term).scale(-1)
-        if term.is_zero():
-            return out
-        out = out + term
+    n = mat.shape[0]
+    one, zero = table.one(), table.zero()
+    rows = [list(row) + [one if i == j else zero for j in range(n)]
+            for i, row in enumerate(mat.rows)]
+    det = one
+    for col in range(n):
+        pivot = rows[col][col]
+        c0 = complex(pivot.constant_term())
+        if not (abs(c0.imag) < 1e-12 * max(1.0, abs(c0)) and c0.real > 0):
+            raise ValueError("numeric part of the Gaussian form is not "
+                             "positive definite")
+        det = det * pivot
+        inv = inverse_unit(pivot)
+        rows[col] = [inv * x for x in rows[col]]
+        for r in range(n):
+            f = rows[r][col]
+            if r != col and not f.is_zero():
+                rows[r] = [x - f * y for x, y in zip(rows[r], rows[col])]
+    return det, FormMatrix(table, [row[n:] for row in rows])
 
 
-def _det_invsqrt(mat):
-    """det(mat)^(-1/2) split as (scalar, unit-series FormElement)."""
-    det = det_leibniz(mat)
+def _det_invsqrt(det):
+    """det^(-1/2) split as (scalar, unit-series FormElement)."""
     det0 = coerce(det.constant_term())
-    if iszero(det0):
-        raise ZeroDivisionError("determinant has no constant part")
-    if isinstance(det0, QC):
-        inv0 = QC(1) / det0
-    else:
-        inv0 = 1.0 / det0
-    series = det.scale(inv0)   # 1 + nilpotent
-    inv_sqrt_series = exp_nilpotent(
-        log_one_plus(series - series.table.one()).scale(Fraction(-1, 2)))
+    inv0 = QC(1) / det0 if isinstance(det0, QC) else 1.0 / det0
+    nil = (det - det.table.scalar(det0)).scale(inv0)   # det/det0 - 1
+    inv_sqrt_series = exp_nilpotent(log_one_plus(nil).scale(Fraction(-1, 2)))
     root = _qc_sqrt(inv0) if isinstance(inv0, QC) else None
     scalar = root if root is not None else cmath.sqrt(complex(inv0))
     return scalar, inv_sqrt_series
@@ -276,21 +225,18 @@ def gaussian_integral(mat_rows, b):
 
     ``mat_rows`` is a numeric symmetric positive-definite matrix (entries
     exact or float), ``b`` a numeric vector.  Runs through the same
-    determinant and inversion helpers as the twisted convolution; returns a
-    complex number (2 pi)^(n/2) det(M)^(-1/2) exp(1/2 b^T M^-1 b).
+    elimination as the twisted convolution; returns a complex number
+    (2 pi)^(n/2) det(M)^(-1/2) exp(1/2 b^T M^-1 b).
     """
     n = len(b)
-    table = GeneratorTable(2)
-    _check_positive_definite(mat_rows)
-    M = FormMatrix(table, [[table.scalar(x) for x in row] for row in mat_rows])
-    scalar, series = _det_invsqrt(M)
-    if len(series.terms) > 1:
-        raise ValueError("numeric Gaussian expected")
-    inv = _qc_matrix_inverse(mat_rows)
+    M = FormMatrix.from_scalars(GeneratorTable(2), mat_rows)
+    det, inv = _eliminate(M)
+    scalar, _ = _det_invsqrt(det)
     quad = 0j
     for i in range(n):
         for j in range(n):
-            quad += complex(coerce(b[i]) * inv[i][j] * coerce(b[j]))
+            quad += complex(coerce(b[i]) * inv[i, j].constant_term()
+                            * coerce(b[j]))
     return complex(scalar) * cmath.exp(0.5 * quad) * (2 * math.pi) ** (n / 2)
 
 
@@ -423,13 +369,16 @@ def mehler_kernel(tau, R, formal=False):
             raise ValueError("time parameter must be positive")
     half = Fraction(1, 2)
     M = R.mat.scale(tau * QC(half))
+    powers = mat_powers(M)
+    n = len(powers)
     inv_tau = _inv_scalar(tau)
-    a = _series_zcoth(M).scale(inv_tau * QC(Fraction(1, 4)))
-    btilde = (_series_exp(M) @ _series_zcsch(M)).scale(inv_tau * QC(half))
-    det_series = det_leibniz(_series_sinhc(M))
-    prefactor = exp_nilpotent(
-        log_one_plus(det_series - table.one()).scale(Fraction(-1, 2)))
-    norm = QC(Fraction(1, 4 ** (d // 2))) * _scalar_pow(tau, -(d // 2))
+    a = _power_sum(powers, _zcoth_coeffs(n)).scale(inv_tau * QC(Fraction(1, 4)))
+    # exp(M) zcsch(M) is one series in M
+    btilde = _power_sum(powers, _cauchy(_exp_coeffs(n), _zcsch_coeffs(n))) \
+        .scale(inv_tau * QC(half))
+    det, _ = _eliminate(_power_sum(powers, _sinhc_coeffs(n)))
+    scalar, prefactor = _det_invsqrt(det)
+    norm = scalar * QC(Fraction(1, 4 ** (d // 2))) * _scalar_pow(tau, -(d // 2))
     return GaussianKernel.assemble(table, d, norm, -(d // 2), prefactor,
                                    a.scale(2), -btilde, a.scale(2))
 
@@ -465,7 +414,7 @@ def twisted_convolve(f, g, R, kappa_coeff=None):
 
     Gaussian integration in Y: with exponent -1/2 Y^T Myy Y + J.Y the result
     carries (2 pi)^(d/2) det(Myy)^(-1/2) exp(1/2 J^T Myy^-1 J), determinant
-    and inverse expanded as truncated series in the nilpotent part.
+    and inverse from one elimination over the even forms.
     """
     if not (f.is_one_variable and g.is_one_variable):
         raise ValueError("twisted convolution is defined for one-variable kernels")
@@ -478,9 +427,8 @@ def twisted_convolve(f, g, R, kappa_coeff=None):
     Mxx = Af
     Mxy = (-Af) + R.mat.scale(QC(c) * QC(Fraction(1, 2)))
     Myy = Af + Ag
-    _check_positive_definite(_constant_part(Myy))
-    inv = _mat_inverse(Myy)
-    scalar, series = _det_invsqrt(Myy)
+    det, inv = _eliminate(Myy)
+    scalar, series = _det_invsqrt(det)
     xx_out = Mxx - (Mxy @ inv @ Mxy.transpose())
     norm = f.norm * g.norm * QC(2 ** (d // 2)) * scalar
     pref = f.prefactor * g.prefactor * series

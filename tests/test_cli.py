@@ -177,3 +177,18 @@ def test_unknown_generator_in_a_table_is_a_json_error(tmp_path, capsys):
     assert code == 2
     assert doc == {"ok": False, "error": "ValueError: unknown generator 'u'"}
 
+
+
+def test_flat_curvature_in_mehler_is_a_json_error(tmp_path, capsys):
+    # a flat R leaves no cross term to derive the kappa constant from
+    path = tmp_path / "mehler.json"
+    path.write_text(json.dumps({
+        "d": 2,
+        "generators": ["w"],
+        "R": [["0", "0"], ["0", "0"]],
+        "taus": ["1/4", "1/2"],
+    }))
+    code, doc = run_cli(capsys, ["mehler", str(path)])
+    assert code == 2
+    assert doc == {"ok": False,
+                   "error": "ArithmeticError: degenerate curvature; cannot solve"}

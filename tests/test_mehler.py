@@ -4,13 +4,15 @@ from fractions import Fraction
 
 import pytest
 
-from chernloc.mehler import (KAPPA_COEFF, CurvatureMatrix, a_hat,
-                             gaussian_integral, heat_element,
+from chernloc.formmatrix import FormMatrix, det_leibniz
+from chernloc.mehler import (KAPPA_COEFF, CurvatureMatrix, GaussianKernel,
+                             a_hat, gaussian_integral, heat_element,
                              heat_equation_residual, kappa_form,
                              mehler_kernel, solve_kappa_constant, str_zero,
                              twist_factor, twisted_convolve)
 from chernloc.multiform import GeneratorTable
-from chernloc.scalars import QC, PiScalar, two_over_i_pow, two_pi_i_inv_pow
+from chernloc.scalars import (QC, PiScalar, TauPoly, is_exact, two_over_i_pow,
+                              two_pi_i_inv_pow)
 
 from conftest import random_antisymmetric_curvature
 
@@ -201,18 +203,24 @@ def test_heat_equation_symbolic_d2_and_flat(curvature_d2):
     assert heat_equation_residual(CurvatureMatrix.zero(table, 2)).is_zero()
 
 
-def test_heat_equation_detects_wrong_kernel(curvature_d4):
-    # breaking the cross-term series must leave a nonzero residual (at d = 4;
-    # lower-dimensional truncation would hide the perturbation)
+def test_heat_equation_detects_wrong_kernel(curvature_d4, monkeypatch):
+    # flipping the sign of the z^2 coefficient of any one series must leave a
+    # nonzero residual (at d = 4; lower-dimensional truncation would hide the
+    # perturbation)
     import chernloc.mehler as mh
     _, R = curvature_d4
     assert mh.heat_equation_residual(R).is_zero()
-    orig = mh._series_zcsch
-    try:
-        mh._series_zcsch = lambda M: orig(M) @ orig(M)
-        assert not mh.heat_equation_residual(R).is_zero()
-    finally:
-        mh._series_zcsch = orig
+    for name in ("_sinhc_coeffs", "_zcoth_coeffs", "_zcsch_coeffs"):
+        orig = getattr(mh, name)
+
+        def flipped(n, orig=orig):
+            c = orig(n)
+            return c[:2] + [-c[2]] + c[3:]
+
+        with monkeypatch.context() as patch:
+            patch.setattr(mh, name, flipped)
+            assert not mh.heat_equation_residual(R).is_zero(), name
+    assert mh.heat_equation_residual(R).is_zero()
 
 
 # -- boundary supertrace --------------------------------------------------------------------------
@@ -275,6 +283,9 @@ def test_gaussian_integral_against_iterated_closed_form():
         ([[2.0, 0.3], [0.3, 1.5]], [0.7, -0.4]),
         ([[1.0, -0.2], [-0.2, 3.0]], [0.0, 1.1]),
         ([[2.5, 0.4, 0.1], [0.4, 1.2, -0.3], [0.1, -0.3, 0.9]], [0.5, -0.2, 0.8]),
+        # determinants with 49.0 * (1 / 49.0) != 1.0 in floating point
+        ([[49.0]], [0.3]),
+        ([[7.0, 0.0], [0.0, 7.0]], [0.1, -0.2]),
     ]
     for mat, b in cases:
         got = gaussian_integral(mat, b)
@@ -292,3 +303,89 @@ def test_gaussian_integral_rejects_indefinite_forms():
         gaussian_integral([[1.0, 0.0], [0.0, -2.0]], [0.0, 0.0])
     with pytest.raises(ValueError):
         gaussian_integral([[1.0, 3.0], [3.0, 1.0]], [0.0, 0.0])
+    # a zero leading minor, first and last
+    with pytest.raises(ValueError):
+        gaussian_integral([[0.0, 1.0], [1.0, 2.0]], [0.0, 0.0])
+    with pytest.raises(ValueError):
+        gaussian_integral([[Fraction(1), Fraction(1)],
+                           [Fraction(1), Fraction(1)]], [0, 0])
+
+
+def test_twisted_convolve_rejects_a_non_positive_y_block(curvature_d2):
+    # Myy = Af + Ag = -3 I + 2 I is negative definite
+    table, R = curvature_d2
+    f = GaussianKernel.assemble(table, 2, QC(1), 0, table.one(),
+                                FormMatrix.identity(table, 2, -3), None, None)
+    g = heat_element(Fraction(1, 4), R)
+    with pytest.raises(ValueError):
+        twisted_convolve(f, g, R)
+
+
+# -- the elimination against the Leibniz oracle -------------------------------------------
+
+
+def _random_gaussian_matrix(table, n, rng, coeff=QC(1)):
+    """Symmetric positive-definite numeric part B B^T + I plus an arbitrary
+    even nilpotent part whose coefficients carry the factor ``coeff``."""
+    u, v = table.gen("u"), table.gen("v")
+    nils = (u, v, u * v, u * u)
+    B = [[Fraction(rng.randint(-2, 2)) for _ in range(n)] for _ in range(n)]
+    rows = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            a = sum((B[i][k] * B[j][k] for k in range(n)), Fraction(int(i == j)))
+            e = table.scalar(a)
+            for m in nils:
+                c = Fraction(rng.randint(-2, 2), rng.choice([1, 3]))
+                if c:
+                    e = e + m.scale(coeff * QC(c))
+            row.append(e)
+        rows.append(row)
+    return FormMatrix(table, rows)
+
+
+def test_elimination_matches_leibniz_determinant_and_inverts():
+    import chernloc.mehler as mh
+    rng = random.Random(11)
+    table = GeneratorTable(4)
+    table.add_generator("u", 2)
+    table.add_generator("v", 2)
+    cases = [_random_gaussian_matrix(table, n, rng)
+             for n in (1, 2, 3, 4) for _ in range(3)]
+    # Laurent coefficients in a formal time, as in the formal Mehler kernel
+    cases.append(_random_gaussian_matrix(table, 3, rng, coeff=TauPoly.var(-1)))
+    for M in cases:
+        n = M.shape[0]
+        det, inv = mh._eliminate(M)
+        assert det == det_leibniz(M)
+        assert M @ inv == FormMatrix.identity(table, n)
+        assert inv @ M == FormMatrix.identity(table, n)
+
+
+# -- exactness ------------------------------------------------------------------------------------
+
+
+def _kernel_coefficients(K):
+    yield K.norm
+    yield from K.prefactor.terms.values()
+    for row in K.quad.rows:
+        for e in row:
+            yield from e.terms.values()
+
+
+def test_gaussian_outputs_stay_exact():
+    rng = random.Random(5)
+    for d in (2, 4, 6):
+        table = GeneratorTable(d)
+        table.add_generator("u", 2)
+        table.add_generator("v", 2)
+        R = random_antisymmetric_curvature(table, d, rng, density=1.0)
+        H1 = heat_element(Fraction(1, 4), R)
+        H2 = heat_element(Fraction(1, 2), R)
+        kernels = (mehler_kernel(Fraction(1, 3), R),
+                   mehler_kernel(None, R, formal=True),
+                   H1, H2, twisted_convolve(H1, H2, R))
+        for K in kernels:
+            for c in _kernel_coefficients(K):
+                assert is_exact(c), (d, K, c)
