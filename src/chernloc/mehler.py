@@ -101,9 +101,9 @@ def _scalar_pow(tau, k):
 
 def _qc_sqrt(x):
     """Exact square root of a nonnegative rational QC, else None."""
-    if not isinstance(x, QC) or x.im != 0 or x.re < 0:
+    if not isinstance(x, QC) or x.im_num or x.re_num < 0:
         return None
-    num, den = x.re.numerator, x.re.denominator
+    num, den = x.re_num, x.den
     rn, rd = math.isqrt(num), math.isqrt(den)
     if rn * rn == num and rd * rd == den:
         return QC(Fraction(rn, rd))
@@ -185,7 +185,8 @@ def _eliminate(mat):
     constant terms of the pivots are ratios of leading principal minors of
     the numeric part, so requiring each to be real and positive is
     Sylvester's criterion: a Gaussian form whose numeric part is not
-    positive definite raises ValueError.
+    positive definite raises ValueError.  An exact (QC) pivot is tested
+    exactly, at any magnitude; an inexact one to a relative 1e-12.
     """
     table = mat.table
     n = mat.shape[0]
@@ -195,8 +196,13 @@ def _eliminate(mat):
     det = one
     for col in range(n):
         pivot = rows[col][col]
-        c0 = complex(pivot.constant_term())
-        if not (abs(c0.imag) < 1e-12 * max(1.0, abs(c0)) and c0.real > 0):
+        c0 = pivot.constant_term()
+        if isinstance(c0, QC):
+            positive = not c0.im_num and c0.re_num > 0
+        else:
+            c0 = complex(c0)
+            positive = abs(c0.imag) < 1e-12 * max(1.0, abs(c0)) and c0.real > 0
+        if not positive:
             raise ValueError("numeric part of the Gaussian form is not "
                              "positive definite")
         det = det * pivot

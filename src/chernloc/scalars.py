@@ -2,9 +2,10 @@
 
 Three small coefficient types used throughout the package:
 
-* :class:`QC` -- complex numbers with exact rational real/imaginary parts.
-  Arithmetic among QC, int and Fraction stays exact; mixing with float or
-  complex silently degrades to the builtin ``complex``.
+* :class:`QC` -- complex numbers with exact rational real/imaginary parts,
+  stored as one integer triple ``(re_num, im_num, den)`` over a shared
+  denominator.  Arithmetic among QC, int and Fraction stays exact; mixing
+  with float or complex silently degrades to the builtin ``complex``.
 * :class:`TauPoly` -- Laurent polynomials in one formal parameter ``tau``
   over QC, enough to differentiate heat kernels with respect to time
   without ever evaluating them.
@@ -24,31 +25,70 @@ _HASH_IMAG = sys.hash_info.imag
 _HASH_MASK = (1 << sys.hash_info.width) - 1
 
 
-class QC:
-    """Complex number with Fraction real and imaginary parts."""
+def _qc(n, m, d):
+    """The QC (n + m i) / d for ints with d > 0, reduced by one gcd."""
+    if d != 1:
+        g = math.gcd(n, m, d)
+        if g != 1:
+            n //= g
+            m //= g
+            d //= g
+    q = object.__new__(QC)
+    q.re_num = n
+    q.im_num = m
+    q.den = d
+    return q
 
-    __slots__ = ("re", "im")
+
+class QC:
+    """Complex number (re_num + im_num i) / den with exact rational parts.
+
+    The three ints satisfy ``den > 0`` and ``gcd(re_num, im_num, den) == 1``,
+    so each value has exactly one triple and equality is equality of
+    triples.  ``re`` and ``im`` read the parts as Fractions.
+    """
+
+    __slots__ = ("re_num", "im_num", "den")
 
     def __init__(self, re=0, im=0):
-        self.re = re if isinstance(re, Fraction) else Fraction(re)
-        self.im = im if isinstance(im, Fraction) else Fraction(im)
+        if type(re) is int and type(im) is int:
+            self.re_num, self.im_num, self.den = re, im, 1
+            return
+        re, im = Fraction(re), Fraction(im)
+        d = math.lcm(re.denominator, im.denominator)
+        self.re_num = re.numerator * (d // re.denominator)
+        self.im_num = im.numerator * (d // im.denominator)
+        self.den = d
+
+    @property
+    def re(self):
+        return Fraction(self.re_num, self.den)
+
+    @property
+    def im(self):
+        return Fraction(self.im_num, self.den)
 
     # -- conversions ------------------------------------------------
     def __complex__(self):
-        return complex(float(self.re), float(self.im))
+        return complex(self.re_num / self.den, self.im_num / self.den)
 
     def conjugate(self):
-        return QC(self.re, -self.im)
+        return _qc(self.re_num, -self.im_num, self.den)
 
     def is_zero(self):
-        return not self.re and not self.im
+        return not self.re_num and not self.im_num
 
     # -- ring operations --------------------------------------------
     def __add__(self, other):
+        n, m, d = self.re_num, self.im_num, self.den
         if isinstance(other, QC):
-            return QC(self.re + other.re, self.im + other.im)
+            on, om, od = other.re_num, other.im_num, other.den
+            if d == od:
+                return _qc(n + on, m + om, d)
+            return _qc(n * od + on * d, m * od + om * d, d * od)
         if isinstance(other, _EXACT):
-            return QC(self.re + other, self.im)
+            p, q = other.numerator, other.denominator
+            return _qc(n * q + p * d, m * q, d * q)
         if isinstance(other, (float, complex)):
             return complex(self) + other
         return NotImplemented
@@ -56,7 +96,7 @@ class QC:
     __radd__ = __add__
 
     def __neg__(self):
-        return QC(-self.re, -self.im)
+        return _qc(-self.re_num, -self.im_num, self.den)
 
     def __sub__(self, other):
         return self.__add__(-other)
@@ -65,11 +105,13 @@ class QC:
         return (-self).__add__(other)
 
     def __mul__(self, other):
+        n, m, d = self.re_num, self.im_num, self.den
         if isinstance(other, QC):
-            return QC(self.re * other.re - self.im * other.im,
-                      self.re * other.im + self.im * other.re)
+            on, om = other.re_num, other.im_num
+            return _qc(n * on - m * om, n * om + m * on, d * other.den)
         if isinstance(other, _EXACT):
-            return QC(self.re * other, self.im * other)
+            p = other.numerator
+            return _qc(n * p, m * p, d * other.denominator)
         if isinstance(other, (float, complex)):
             return complex(self) * other
         return NotImplemented
@@ -78,7 +120,12 @@ class QC:
 
     def __truediv__(self, other):
         if isinstance(other, _EXACT):
-            return QC(self.re / other, self.im / other)
+            p, q = other.numerator, other.denominator
+            if not p:
+                raise ZeroDivisionError("division by zero")
+            if p < 0:
+                p, q = -p, -q
+            return _qc(self.re_num * q, self.im_num * q, self.den * p)
         if isinstance(other, QC):
             return self * other.inverse()
         if isinstance(other, (float, complex)):
@@ -94,10 +141,11 @@ class QC:
         return NotImplemented
 
     def inverse(self):
-        n = self.re * self.re + self.im * self.im
-        if not n:
+        n, m, d = self.re_num, self.im_num, self.den
+        s = n * n + m * m
+        if not s:
             raise ZeroDivisionError("inverse of zero")
-        return QC(self.re / n, -self.im / n)
+        return _qc(d * n, -d * m, s)
 
     def __pow__(self, k):
         if not isinstance(k, int):
@@ -116,9 +164,11 @@ class QC:
     # -- comparison / hashing ----------------------------------------
     def __eq__(self, other):
         if isinstance(other, QC):
-            return self.re == other.re and self.im == other.im
+            return (self.re_num == other.re_num and self.im_num == other.im_num
+                    and self.den == other.den)
         if isinstance(other, _EXACT):
-            return self.im == 0 and self.re == other
+            return (not self.im_num and self.re_num == other.numerator
+                    and self.den == other.denominator)
         if isinstance(other, (float, complex)):
             # exact, like Fraction against float
             return self.re == other.real and self.im == other.imag

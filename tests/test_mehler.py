@@ -296,6 +296,11 @@ def test_gaussian_integral_against_iterated_closed_form():
 def test_gaussian_integral_exact_rational_case():
     got = gaussian_integral([[Fraction(2), 0], [0, Fraction(2)]], [0, 0])
     assert abs(got - math.pi) < 1e-14
+    # exact pivots far outside the float range are judged exactly
+    for e in (400, -400):
+        got = gaussian_integral([[Fraction(10) ** -e]], [0])
+        want = math.sqrt(2 * math.pi) * 10.0 ** (e // 2)
+        assert abs(got - want) <= 1e-14 * want
 
 
 def test_gaussian_integral_rejects_indefinite_forms():
@@ -309,6 +314,10 @@ def test_gaussian_integral_rejects_indefinite_forms():
     with pytest.raises(ValueError):
         gaussian_integral([[Fraction(1), Fraction(1)],
                            [Fraction(1), Fraction(1)]], [0, 0])
+    # exact pivots: tiny negative, zero, and an indefinite second minor
+    for mat in ([[Fraction(-1, 10**400)]], [[0]], [[1, 2], [2, 1]]):
+        with pytest.raises(ValueError):
+            gaussian_integral(mat, [0] * len(mat))
 
 
 def test_twisted_convolve_rejects_a_non_positive_y_block(curvature_d2):

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from chernloc.multiform import (GeneratorTable,
                                 TableMismatchError, check_dga, d_T,
@@ -155,12 +157,21 @@ def test_table_mismatch_rejected():
         wedge(t1.gen("x"), t2.gen("x"))
 
 
-def test_serialization_roundtrip():
-    rng = random.Random(4)
-    for _ in range(100):
-        table = random_table(rng)
-        theta = random_form(table, rng)
-        assert table.parse(theta.canonical_str()) == theta
+seeds = st.integers(0, 2**32)
+# complex coefficients whose parts have different denominators
+complex_coeffs = st.builds(QC, st.fractions(max_denominator=60),
+                           st.fractions(max_denominator=60))
+
+
+@given(seeds, st.lists(complex_coeffs, min_size=1, max_size=4))
+@example(4, [QC(Fraction(1, 2), Fraction(-2, 3)), QC(Fraction(-5, 6), Fraction(7, 4))])
+def test_serialization_roundtrip(seed, coeffs):
+    rng = random.Random(seed)
+    table = random_table(rng)
+    theta = random_form(table, rng)
+    for c in coeffs:
+        theta = theta + random_form(table, rng, n_terms=1).scale(c)
+    assert table.parse(theta.canonical_str()) == theta
 
 
 def test_canonical_text_form():
@@ -216,6 +227,17 @@ def test_table_text_roundtrip():
     assert t2.names == t.names
     x2 = t2.gen("x")
     assert x2.d() == t2.gen("u")
+
+
+@given(seeds)
+def test_random_table_text_roundtrip(seed):
+    t = random_table(random.Random(seed))
+    t2 = GeneratorTable.from_text(t.to_text())
+    assert t2.top_degree == t.top_degree
+    assert t2.names == t.names
+    for gid in range(1, len(t.names)):
+        assert t2.degree_of(gid) == t.degree_of(gid)
+        assert t2.differential(gid).terms == t.differential(gid).terms
 
 
 def test_series_helpers():

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -173,3 +174,68 @@ def test_qc_with_a_float_operand_gives_complex(a, f):
     for got, want in pairs:
         assert type(got) is complex
         assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+
+# -- the (re_num, im_num, den) representation ----------------------------------------
+
+exact_operands = st.one_of(qcs, exact_reals, st.booleans())
+
+
+def _canonical(q):
+    n, m, d = q.re_num, q.im_num, q.den
+    return (type(n) is type(m) is type(d) is int and d > 0
+            and math.gcd(n, m, d) == 1)
+
+
+@given(qcs, exact_operands, st.integers(-4, 4))
+def test_qc_results_are_canonical(a, x, k):
+    results = [a + x, x + a, a - x, x - a, a * x, x * a, -a, a.conjugate(),
+               QC(a.re, a.im)]
+    if x:
+        results.append(a / x)
+    if a:
+        results += [x / a, a.inverse(), a ** k]
+    else:
+        results.append(a ** abs(k))
+    for q in results:
+        assert isinstance(q, QC) and _canonical(q), q
+
+
+small_parts = st.one_of(st.integers(-3, 3),
+                        st.fractions(min_value=-2, max_value=2, max_denominator=4))
+
+
+@given(small_parts, small_parts, small_parts, small_parts)
+def test_qc_equal_exactly_when_parts_equal(a, b, c, e):
+    p, q = QC(a, b), QC(c, e)
+    assert (p == q) == ((Fraction(a), Fraction(b)) == (Fraction(c), Fraction(e)))
+    assert (p.re, p.im) == (a, b)
+    if p == q:
+        assert hash(p) == hash(q)
+
+
+dyadics = st.builds(lambda n, k: Fraction(n, 2 ** k),
+                    st.integers(-2**20, 2**20), st.integers(0, 20))
+dyadic_qcs = st.builds(QC, dyadics, dyadics)
+
+
+@given(dyadic_qcs, dyadic_qcs)
+def test_qc_hash_agrees_with_every_equal_number(a, b):
+    for q in (a + b, a * b, a - b, a * a.conjugate()):
+        z = complex(q)
+        assert q == z and hash(q) == hash(z)
+        if not q.im_num:
+            assert q == q.re and hash(q) == hash(q.re)
+            if q.den == 1:
+                assert q == q.re_num and hash(q) == hash(q.re_num)
+
+
+@given(qcs)
+def test_qc_division_by_zero_raises(a):
+    for zero in (0, Fraction(0), False, QC(0)):
+        with pytest.raises(ZeroDivisionError):
+            a / zero
+    with pytest.raises(ZeroDivisionError):
+        QC(0).inverse()
+    with pytest.raises(ZeroDivisionError):
+        QC(0) ** -1
