@@ -250,6 +250,15 @@ class FormElement:
         self.terms = {m: c for m, c in terms.items() if not iszero(c)}
         self._hash = None
 
+    @classmethod
+    def _nonzero(cls, table, terms):
+        """Wrap ``terms`` that hold no zero coefficient, without re-filtering."""
+        out = cls.__new__(cls)
+        out.table = table
+        out.terms = terms
+        out._hash = None
+        return out
+
     # -- basics -----------------------------------------------------------
     def is_zero(self):
         return not self.terms
@@ -278,7 +287,7 @@ class FormElement:
                     out.pop(m, None)
                 else:
                     out[m] = s
-            return FormElement(self.table, out)
+            return FormElement._nonzero(self.table, out)
         if other == 0:
             return self
         return self + self.table.scalar(other)
@@ -286,7 +295,7 @@ class FormElement:
     __radd__ = __add__
 
     def __neg__(self):
-        return FormElement(self.table, {m: -c for m, c in self.terms.items()})
+        return FormElement._nonzero(self.table, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other if isinstance(other, FormElement)
@@ -319,7 +328,7 @@ class FormElement:
                         out.pop(mono, None)
                     else:
                         out[mono] = s
-            return FormElement(table, out)
+            return FormElement._nonzero(table, out)
         return self.scale(other)
 
     def __rmul__(self, other):

@@ -129,6 +129,17 @@ def test_torus_cli_detects_underresolved_cutoff(capsys):
     assert doc["rows"][0]["relative"] > 1e-4
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--L1", "-1"), ("--L1", "0"), ("--L2", "nan"), ("--L1", "inf")])
+def test_torus_cli_rejects_bad_side_lengths(capsys, flag, value):
+    code = main(["torus", flag, value])
+    out = capsys.readouterr().out
+    doc = json.loads(out)        # strict: no NaN or table text in the output
+    assert code == 2
+    assert doc["ok"] is False
+    assert doc["error"].startswith("ValueError: side lengths")
+
+
 def test_malformed_json_is_a_json_error(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text('{"d": 2, "R": [')

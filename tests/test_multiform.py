@@ -11,7 +11,7 @@ from chernloc.multiform import (GeneratorTable,
                                 split_sigma, wedge)
 from chernloc.sampling import (random_form, random_homogeneous_form,
                                random_table)
-from chernloc.scalars import QC
+from chernloc.scalars import QC, iszero
 
 
 def simple_table():
@@ -172,6 +172,28 @@ def test_serialization_roundtrip(seed, coeffs):
     for c in coeffs:
         theta = theta + random_form(table, rng, n_terms=1).scale(c)
     assert table.parse(theta.canonical_str()) == theta
+
+
+# exact coefficients that collide and cancel, and floats whose products
+# underflow to 0.0
+exact_or_float = st.one_of(
+    st.builds(QC, st.fractions(max_denominator=4), st.fractions(max_denominator=4)),
+    st.sampled_from([1e-200, -1e-200, 1e-300, 0.5, -0.5]).map(complex),
+    st.floats(-4, 4).map(complex))
+basis_terms = st.lists(st.tuples(st.integers(0, 5), exact_or_float), max_size=5)
+
+
+@given(basis_terms, basis_terms)
+@example([(1, 1e-200)], [(2, 1e-200)])                 # x * y underflows
+@example([(1, QC(1)), (2, 0.5)], [(1, QC(-1)), (2, -0.5)])  # x + y cancels
+def test_arithmetic_results_hold_no_zero_coefficient(a, b):
+    t = simple_table()
+    x, y, u, sigma = t.gen("x"), t.gen("y"), t.gen("u"), t.sigma()
+    basis = [t.one(), x, y, u, sigma, sigma * x]
+    f = sum((basis[i].scale(c) for i, c in a), t.zero())
+    g = sum((basis[i].scale(c) for i, c in b), t.zero())
+    for h in (f + g, f * g, g * f, -f, f - g):
+        assert not any(iszero(c) for c in h.terms.values())
 
 
 def test_canonical_text_form():

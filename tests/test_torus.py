@@ -1,10 +1,23 @@
 import math
 
+import numpy as np
 import pytest
 
 from chernloc.torus import (TorusModel, chern_t_torus, chern_target,
                             convergence_report, heat_supertrace, heat_trace,
                             poisson_heat_trace, supertrace_constancy)
+
+SPINS = ("pp", "pa", "ap", "aa")
+
+
+def grid_gaussian_sum(model, s):
+    """sum of exp(-s |kappa|^2) over the full 2-D lattice grid (oracle)."""
+    offset = {"p": 0.0, "a": 0.5}
+    m = np.arange(-model.K, model.K + 1, dtype=float)
+    k1 = 2 * math.pi * (m + offset[model.spin[0]]) / model.L1
+    k2 = 2 * math.pi * (m + offset[model.spin[1]]) / model.L2
+    K1, K2 = np.meshgrid(k1, k2, indexing="ij")
+    return float(np.sum(np.exp(-s * (K1 ** 2 + K2 ** 2))))
 
 
 def test_model_validation():
@@ -12,6 +25,52 @@ def test_model_validation():
         TorusModel(K=0)
     with pytest.raises(ValueError):
         TorusModel(spin="px")
+    for L in (-1.0, 0.0, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="side lengths"):
+            TorusModel(L1=L)
+        with pytest.raises(ValueError, match="side lengths"):
+            TorusModel(L2=L)
+    for K in (2.5, 3.0, True, "3"):
+        with pytest.raises(ValueError, match="must be an integer"):
+            TorusModel(K=K)
+    assert TorusModel(K=np.int64(3)).mode_energies().shape == (2, 7)
+
+
+def test_mode_energies_are_the_two_circle_spectra():
+    for K in (1, 7, 64):
+        model = TorusModel(L1=3.0, L2=7.5, K=K, spin="pa")
+        energies = model.mode_energies()
+        assert energies.shape == (2, 2 * K + 1)
+        m = np.arange(-K, K + 1)
+        assert np.allclose(energies[0], (2 * math.pi * m / 3.0) ** 2, rtol=1e-15)
+        assert np.allclose(energies[1], (2 * math.pi * (m + 0.5) / 7.5) ** 2, rtol=1e-15)
+
+
+def test_product_form_matches_grid_sum():
+    theta = {(0, 0): 0.7 - 0.2j}
+    for spin in SPINS:
+        for K in (1, 7, 64):
+            model = TorusModel(L1=3.0, L2=7.5, K=K, spin=spin)
+            for s in (1e-3, 0.05, 1.0, 150.0):
+                grid = grid_gaussian_sum(model, s)
+                assert abs(heat_trace(model, s) - 2 * grid) <= 1e-13 * 2 * grid
+                t = math.sqrt(s)
+                expected = t * t * theta[(0, 0)] * (-2j) * grid_gaussian_sum(model, t * t)
+                got = chern_t_torus(model, t, theta)
+                assert abs(got - expected) <= 1e-13 * abs(expected)
+
+
+def test_large_cutoff():
+    # a (2K+1)^2 grid of float64 here would take 537 MB per array
+    model = TorusModel(K=4096)
+    for s in (1e-4, 0.01):
+        a = heat_trace(model, s)
+        bb = poisson_heat_trace(model, s)
+        assert abs(a - bb) <= 1e-10 * max(1.0, abs(bb))
+    theta = {(0, 0): 1.3 + 0.4j}
+    target = chern_target(model, theta)
+    value = chern_t_torus(model, 0.01, theta)
+    assert abs(value - target) < 1e-4 * abs(target)
 
 
 def test_zero_mode_count():
@@ -46,10 +105,25 @@ def test_cutoff_stability():
 
 
 def test_rejects_nonpositive_time():
-    with pytest.raises(ValueError):
-        heat_trace(TorusModel(), 0.0)
-    with pytest.raises(ValueError):
-        chern_t_torus(TorusModel(), -1.0, {(0, 0): 1.0})
+    model = TorusModel()
+    for s in (0.0, -0.5, math.nan):
+        with pytest.raises(ValueError, match="heat time"):
+            heat_trace(model, s)
+        with pytest.raises(ValueError, match="heat time"):
+            heat_supertrace(model, s)
+    for t in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError):
+            chern_t_torus(model, t, {(0, 0): 1.0})
+
+
+def test_supertrace_constancy_rejects_bad_grids():
+    model = TorusModel(K=4)
+    for grid in ((), [], (0.1, 0.1), (0.5, 0.1), (0.01, 0.05, 0.05)):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            supertrace_constancy(model, grid)
+    with pytest.raises(ValueError, match="heat time"):
+        supertrace_constancy(model, (0.0, 0.1))
+    assert supertrace_constancy(model, (0.3,)) == (0.0, 0.0)
 
 
 def test_supertrace_vanishes_and_is_constant():
