@@ -33,8 +33,7 @@ from .mehler import (KAPPA_COEFF, CurvatureMatrix, GaussianKernel, a_hat,
                      heat_element, heat_equation_residual, kappa_form,
                      mehler_kernel, solve_kappa_constant, str_zero,
                      twisted_convolve)
-from .multiform import (FormElement, GeneratorTable, check_dga, d_T,
-                        parse_form, split_sigma, wedge)
+from .multiform import FormElement, GeneratorTable, check_dga, parse_form
 from .scalars import QC, PiScalar, TauPoly
 from .torus import (TorusModel, chern_t_torus, convergence_report, heat_trace,
                     poisson_heat_trace)
@@ -53,8 +52,7 @@ __all__ = [
     "KAPPA_COEFF", "CurvatureMatrix", "GaussianKernel", "a_hat",
     "heat_element", "heat_equation_residual", "kappa_form", "mehler_kernel",
     "solve_kappa_constant", "str_zero", "twisted_convolve",
-    "FormElement", "GeneratorTable", "check_dga", "d_T", "parse_form",
-    "split_sigma", "wedge",
+    "FormElement", "GeneratorTable", "check_dga", "parse_form",
     "QC", "PiScalar", "TauPoly",
     "TorusModel", "chern_t_torus", "convergence_report", "heat_trace",
     "poisson_heat_trace",

@@ -135,15 +135,9 @@ class BarChain:
     def __len__(self):
         return len(self.terms)
 
-    def max_length(self):
-        return max((len(w) for w in self.terms), default=0)
-
     def length_component(self, n):
         return BarChain._wrap(self.table,
                               {w: c for w, c in self.terms.items() if len(w) == n})
-
-    def word_degrees(self, word):
-        return [self.table.mono_degree(m) for m in word]
 
     # -- serialization ----------------------------------------------------------
     def to_lists(self):
@@ -245,19 +239,11 @@ def b(chain):
     return b0(chain) + b1(chain)
 
 
-def cyclic_symmetrize(word_or_chain, table=None):
+def cyclic_symmetrize(chain):
     """Signed sum of cyclic rotations, one term per rotation.
 
     The rotation by k carries the sign (-1)^(n_k (n_N - n_k)).
     """
-    if isinstance(word_or_chain, BarChain):
-        chain = word_or_chain
-    else:
-        if table is None:
-            table = word_or_chain[0].table if word_or_chain else None
-            if table is None:
-                raise ValueError("need a table for the empty word")
-        chain = BarChain.from_word(table, word_or_chain)
     table = chain.table
     out = {}
     for word, coeff in chain.terms.items():
@@ -275,7 +261,7 @@ def cyclic_symmetrize(word_or_chain, table=None):
     return BarChain._wrap(table, out)
 
 
-def is_cyclic(chain, tol=None):
+def is_cyclic(chain):
     """Membership in the span of symmetrized words.
 
     The symmetrization S satisfies S^2 = N S on length-N words, so the
@@ -285,11 +271,7 @@ def is_cyclic(chain, tol=None):
         comp = chain.length_component(n)
         if n == 0:
             continue
-        sym, scaled = cyclic_symmetrize(comp), comp.scale(n)
-        if tol is None:
-            if sym != scaled:
-                return False
-        elif any(abs(complex(c)) > tol for c in (sym - scaled).terms.values()):
+        if cyclic_symmetrize(comp) != comp.scale(n):
             return False
     return True
 

@@ -7,7 +7,7 @@ Subcommands:
 * ``bismut-chern``    -- build and validate the idempotent cyclic chain
 * ``mehler``          -- semigroup / heat-equation / characteristic-form suites
 * ``localize``        -- small-time limit versus the characteristic form
-* ``torus``           -- spectral convergence table on the flat torus
+* ``torus``           -- spectral convergence report on the flat torus
 
 Inputs are plain-text generator tables (``check-bar``) or small JSON
 documents; every subcommand emits a machine-readable JSON report on stdout
@@ -53,8 +53,9 @@ def _parse_matrix(rows):
 
 
 def _emit(report, ok):
-    json.dump(report, sys.stdout, indent=2, default=str)
-    sys.stdout.write("\n")
+    # serialized before writing, so a non-finite value raises before any
+    # output and the caller reports it as invalid input
+    sys.stdout.write(json.dumps(report, indent=2, default=str, allow_nan=False) + "\n")
     return 0 if ok else 1
 
 
@@ -227,8 +228,6 @@ def cmd_torus(args):
     out["supertrace_max"] = max_abs
     out["supertrace_slope"] = max_slope
     out["ok"] = ok
-    if not args.json:
-        print(rep.table_text())
     return _emit(out, ok)
 
 
@@ -266,7 +265,7 @@ def build_parser():
     pl.add_argument("case", help="JSON case document")
     pl.set_defaults(fn=cmd_localize)
 
-    pt = sub.add_parser("torus", help="flat-torus convergence table")
+    pt = sub.add_parser("torus", help="flat-torus convergence report")
     pt.add_argument("--L1", type=float, default=2 * 3.141592653589793)
     pt.add_argument("--L2", type=float, default=2 * 3.141592653589793)
     pt.add_argument("-K", type=int, default=64)
@@ -275,7 +274,6 @@ def build_parser():
     pt.add_argument("--beta", type=float, default=1.0)
     pt.add_argument("--theta", help="JSON Fourier data {\"q1,q2\": coeff}")
     pt.add_argument("--tol", type=float, default=1e-4)
-    pt.add_argument("--json", action="store_true", help="suppress the text table")
     pt.set_defaults(fn=cmd_torus)
     return parser
 

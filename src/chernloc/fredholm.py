@@ -47,7 +47,7 @@ from .scalars import QC, QC_ONE
 class FredholmModel:
     """(H, Q, c) with H = C^(dim_plus + dim_minus), Q odd, c per monomial."""
 
-    def __init__(self, table, dim_plus, dim_minus, Q, c_map, check=True):
+    def __init__(self, table, dim_plus, dim_minus, Q, c_map):
         self.table = table
         self.dim_plus = int(dim_plus)
         self.dim_minus = int(dim_minus)
@@ -58,10 +58,9 @@ class FredholmModel:
             cm[tuple(mono)] = np.asarray(mat, dtype=complex)
         cm.setdefault((), np.eye(self.dim, dtype=complex))
         self.c_map = cm
-        if check:
-            problems = self.structure_report()
-            if problems:
-                raise ValueError("bad model: " + "; ".join(problems))
+        problems = self.structure_report()
+        if problems:
+            raise ValueError("bad model: " + "; ".join(problems))
 
     # -- structure -----------------------------------------------------------
     @property
@@ -298,14 +297,6 @@ def simplex_str(A, Bs, weight, engine="expm", quad_order=32):
     raise ValueError(f"unknown engine {engine!r}")
 
 
-def duhamel_expm(A, V, n_terms):
-    """Truncated perturbation series for expm(-(A+V)) around A."""
-    out = np.zeros_like(np.asarray(A, dtype=complex))
-    for j in range(n_terms + 1):
-        out += (-1) ** j * simplex_matrix_integral(A, [V] * j)
-    return out
-
-
 # -- the Chern character ----------------------------------------------------------------
 
 
@@ -491,16 +482,9 @@ def curvature_word_matrix(p):
     return (two_p_1 @ dp) + (dp @ dp).scale_form(table.sigma())
 
 
-def trace_expand(mats, coeff=1):
-    """Index-contracted chain of a matrix word: slot s carries the entry
-    Theta_s[a_{s-1}, a_s] with a_0 = a_M."""
-    if not mats:
-        raise ValueError("empty matrix word")
-    return BarChain.from_words(mats[0].table, _trace_words(mats, coeff))
-
-
 def _trace_words(mats, coeff):
-    """(coeff, word) pairs of the index expansion behind ``trace_expand``."""
+    """(coeff, word) pairs of the index-contracted expansion of a matrix
+    word: slot s carries the entry Theta_s[a_{s-1}, a_s] with a_0 = a_M."""
     n = mats[0].shape[0]
     M = len(mats)
     for idx in _cartesian(range(n), repeat=M):
@@ -576,18 +560,13 @@ def random_idempotent(table, rng, n=2, scale=Fraction(1, 2), rank=1):
 class McKeanSingerReport:
     lhs: complex
     rhs_heat_sq: complex
-    rhs_heat_lin: complex
     difference: float
-    note: str = ("comparison uses exp(-D_p^2); exp(-D_p) is reported "
-                 "alongside because the two differ for a generic model")
 
     def as_dict(self):
         return {
             "lhs": [self.lhs.real, self.lhs.imag],
             "rhs_heat_sq": [self.rhs_heat_sq.real, self.rhs_heat_sq.imag],
-            "rhs_heat_lin": [self.rhs_heat_lin.real, self.rhs_heat_lin.imag],
             "difference": self.difference,
-            "note": self.note,
         }
 
 
@@ -606,7 +585,9 @@ def mckean_singer_check(model, p, t=1.0):
     one simplex integral with one block.  The blocks F2(R, sigma p) and
     F2(sigma p, R) that would join sigma p to a neighbour vanish: F2 reads
     only the sigma-free parts of its slots, and sigma p has none.  The right
-    side is a dense matrix exponential.
+    side is the dense matrix exponential Str(p exp(-D_p^2)).  It is
+    exp(-D_p^2), not exp(-D_p): the two differ for a generic model, and
+    only the former equals the character of the chain.
     """
     table = model.table
     n = p.shape[0]
@@ -624,5 +605,4 @@ def mckean_singer_check(model, p, t=1.0):
     Dp = t * Qh + Gp
     p_hat = _cmat(model, p, t)
     rhs_sq = complex(np.trace(Gh @ p_hat @ _expm(-(Dp @ Dp))))
-    rhs_lin = complex(np.trace(Gh @ p_hat @ _expm(-Dp)))
-    return McKeanSingerReport(lhs, rhs_sq, rhs_lin, abs(lhs - rhs_sq))
+    return McKeanSingerReport(lhs, rhs_sq, abs(lhs - rhs_sq))

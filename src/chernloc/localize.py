@@ -18,7 +18,7 @@ cancel, which is why no alternating sign appears below.)
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import factorial
 
 from .mehler import CurvatureMatrix, a_hat, heat_element, str_zero
@@ -114,7 +114,6 @@ class LocalizationReport:
     residual: float
     patterns: int
     vanishing_patterns_zero: bool
-    case_reports: list = field(default_factory=list)
 
     @property
     def ok(self):

@@ -343,10 +343,6 @@ class GaussianKernel:
                                        self.pi_pow, self.prefactor,
                                        self.xx_block(), None, None)
 
-    def at_origin(self):
-        """(norm, pi_pow, prefactor): the value at X = Y = 0."""
-        return self.norm, self.pi_pow, self.prefactor
-
     def __eq__(self, other):
         if not isinstance(other, GaussianKernel):
             return NotImplemented
@@ -519,7 +515,7 @@ def _num(x):
     return complex(x)
 
 
-def str_zero(x, top_dim=None):
+def str_zero(x):
     """Boundary supertrace: evaluate at the origin, scale by (2/i)^(d/2),
     extract the top-degree coefficient (the single-fiber model of the
     integral over the base).
@@ -529,11 +525,9 @@ def str_zero(x, top_dim=None):
     carry the pi power of the normalization.
     """
     if isinstance(x, GaussianKernel):
-        d = x.d if top_dim is None else top_dim
-        factor = PiScalar(x.norm, x.pi_pow) * two_over_i_pow(d)
+        factor = PiScalar(x.norm, x.pi_pow) * two_over_i_pow(x.d)
         return x.prefactor.top_component().scale(factor)
-    d = top_dim if top_dim is not None else x.table.top_degree
-    return x.top_component().scale(two_over_i_pow(d))
+    return x.top_component().scale(two_over_i_pow(x.table.top_degree))
 
 
 # -- heat equation ------------------------------------------------------------------

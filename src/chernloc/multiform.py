@@ -15,6 +15,7 @@ monomials to coefficients.  Products follow the Koszul rule
 
 from __future__ import annotations
 
+import math
 import re as _re
 from bisect import bisect_right
 from dataclasses import dataclass, field
@@ -140,9 +141,6 @@ class GeneratorTable:
 
     def mono_nonsigma_degree(self, mono):
         return sum(self._degrees[g] for g in mono if g != SIGMA_ID)
-
-    def mono_parity(self, mono):
-        return self.mono_degree(mono) & 1
 
     def mono_str(self, mono):
         if not mono:
@@ -439,21 +437,6 @@ class FormElement:
         return f"<form {self.canonical_str()}>"
 
 
-# -- module-level operation surface ---------------------------------------------
-
-def wedge(a, b):
-    """Graded-commutative product, truncated above the ambient top degree."""
-    return a * b
-
-
-def split_sigma(theta):
-    return theta.split_sigma()
-
-
-def d_T(theta):
-    return theta.d_T()
-
-
 @dataclass
 class DgaReport:
     ok: bool
@@ -508,7 +491,7 @@ def exp_nilpotent(u):
         term = term * u
         if term.is_zero():
             return out
-        out += term.scale(Fraction(1, _factorial(k)))
+        out += term.scale(Fraction(1, math.factorial(k)))
         k += 1
 
 
@@ -546,13 +529,6 @@ def inverse_unit(f):
             return out.scale(inv0)
         sign = -sign
         out += power.scale(sign)
-
-
-def _factorial(n):
-    out = 1
-    for k in range(2, n + 1):
-        out *= k
-    return out
 
 
 # -- expression parser ---------------------------------------------------------------

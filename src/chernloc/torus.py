@@ -75,7 +75,7 @@ def heat_trace(model, s):
 
 def poisson_heat_trace(model, s, q_max=12):
     """Poisson-summation evaluation of the full (untruncated) heat trace."""
-    if s <= 0:
+    if not s > 0:
         raise ValueError("heat time must be positive")
     total = 2.0
     for L, letter in ((model.L1, model.spin[0]), (model.L2, model.spin[1])):
@@ -116,6 +116,16 @@ def _volume_quantum(model):
     return complex(np.trace(grading @ gammas[0] @ gammas[1]))
 
 
+def _zero_mode(theta_fourier):
+    """The (0, 0) Fourier coefficient of theta''; every coefficient must be
+    finite."""
+    for q, coeff in theta_fourier.items():
+        z = complex(coeff)
+        if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+            raise ValueError(f"Fourier coefficient {q} of theta is not finite: {coeff!r}")
+    return complex(theta_fourier.get((0, 0), 0.0))
+
+
 def chern_t_torus(model, t, theta_fourier):
     """Character of the length-one word with entry sigma * (f vol).
 
@@ -126,7 +136,7 @@ def chern_t_torus(model, t, theta_fourier):
     """
     if not t > 0:
         raise ValueError("the scaling parameter must be positive")
-    f0 = complex(theta_fourier.get((0, 0), 0.0))
+    f0 = _zero_mode(theta_fourier)
     if f0 == 0:
         return 0j
     return (t * t) * f0 * _volume_quantum(model) * _gaussian_sum(model, t * t)
@@ -134,7 +144,7 @@ def chern_t_torus(model, t, theta_fourier):
 
 def chern_target(model, theta_fourier):
     """(2 pi i)^(-1) integral of theta'': exact Fourier pairing."""
-    f0 = complex(theta_fourier.get((0, 0), 0.0))
+    f0 = _zero_mode(theta_fourier)
     return f0 * model.area / (2j * math.pi)
 
 
@@ -169,14 +179,6 @@ class ConvergenceReport:
                 for r in self.rows
             ],
         }
-
-    def table_text(self):
-        lines = ["      t            Ch_t                     |Ch_t - target|   relative"]
-        for r in self.rows:
-            lines.append(
-                f"{r.t:10.4f}   {r.value.real:+.6e}{r.value.imag:+.6e}i"
-                f"   {r.residual:11.3e}   {r.relative:9.3e}")
-        return "\n".join(lines)
 
 
 def convergence_report(model, theta_fourier, t_grid):

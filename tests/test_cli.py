@@ -24,11 +24,24 @@ def table_file(tmp_path):
     return path
 
 
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def strict_json(text):
+    """The whole text as one JSON document without NaN or Infinity."""
+    return json.loads(text, parse_constant=_reject_constant)
+
+
 def run_cli(capsys, argv):
     code = main(argv)
-    out = capsys.readouterr().out
-    payload = out[out.index("{"):]
-    return code, json.loads(payload)
+    return code, strict_json(capsys.readouterr().out)
+
+
+def test_strict_json_rejects_non_finite_constants():
+    for text in ('{"a": NaN}', '{"a": Infinity}', '{"a": -Infinity}'):
+        with pytest.raises(ValueError, match="non-standard"):
+            strict_json(text)
 
 
 def test_check_bar(table_file, capsys):
@@ -66,10 +79,8 @@ def test_mckean_singer_cli(tmp_path, capsys):
     assert code == 0
     assert doc["ok"]
     assert doc["difference"] < 1e-8
-    assert "exp(-D_p^2)" in doc["note"]
     # the chain is summed in closed form: no series keys, no --n-max
-    assert set(doc) == {"lhs", "rhs_heat_sq", "rhs_heat_lin", "difference",
-                        "note", "ok", "relations"}
+    assert set(doc) == {"lhs", "rhs_heat_sq", "difference", "ok", "relations"}
     with pytest.raises(SystemExit):
         main(["mckean-singer", str(path), "--n-max", "5"])
 
@@ -115,7 +126,7 @@ def test_localize_cli(tmp_path, capsys):
 
 def test_torus_cli(capsys):
     code, doc = run_cli(capsys, ["torus", "--t-grid", "0.1,0.05",
-                                 "--beta", "0.5", "--json"])
+                                 "--beta", "0.5"])
     assert code == 0
     assert doc["ok"]
     assert doc["rows"][-1]["relative"] < 1e-4
@@ -124,20 +135,53 @@ def test_torus_cli(capsys):
 
 def test_torus_cli_detects_underresolved_cutoff(capsys):
     code, doc = run_cli(capsys, ["torus", "-K", "2", "--t-grid", "0.05",
-                                 "--beta", "0.5", "--json"])
+                                 "--beta", "0.5"])
     assert code == 1
     assert doc["rows"][0]["relative"] > 1e-4
+
+
+def test_torus_cli_has_no_json_flag(capsys):
+    # the report is always JSON; the flag that suppressed a text table is gone
+    with pytest.raises(SystemExit):
+        main(["torus", "--json"])
+    assert capsys.readouterr().out == ""
 
 
 @pytest.mark.parametrize("flag, value", [
     ("--L1", "-1"), ("--L1", "0"), ("--L2", "nan"), ("--L1", "inf")])
 def test_torus_cli_rejects_bad_side_lengths(capsys, flag, value):
-    code = main(["torus", flag, value])
-    out = capsys.readouterr().out
-    doc = json.loads(out)        # strict: no NaN or table text in the output
+    code, doc = run_cli(capsys, ["torus", flag, value])
     assert code == 2
     assert doc["ok"] is False
     assert doc["error"].startswith("ValueError: side lengths")
+
+
+@pytest.mark.parametrize("beta", ["nan", "inf", "-inf"])
+def test_torus_cli_rejects_non_finite_beta(capsys, beta):
+    code, doc = run_cli(capsys, ["torus", f"--beta={beta}"])
+    assert code == 2
+    assert doc["ok"] is False
+    assert doc["error"].startswith("ValueError: Fourier coefficient (0, 0)")
+
+
+@pytest.mark.parametrize("coeff", [float("nan"), float("-inf"), "nan",
+                                   [1.0, float("inf")]])
+def test_torus_cli_rejects_non_finite_theta(tmp_path, capsys, coeff):
+    path = tmp_path / "theta.json"
+    path.write_text(json.dumps({"0,0": 1.0, "2,-1": coeff}))
+    code, doc = run_cli(capsys, ["torus", "--theta", str(path)])
+    assert code == 2
+    assert doc["ok"] is False
+    assert doc["error"].startswith("ValueError: Fourier coefficient (2, -1)")
+
+
+def test_non_finite_result_is_a_json_error(capsys):
+    # finite sides whose area overflows give an infinite target and a NaN
+    # relative error; the report is refused before anything reaches stdout
+    code, doc = run_cli(capsys, ["torus", "--L1", "1e200", "--L2", "1e200", "-K", "2"])
+    assert code == 2
+    assert doc["ok"] is False
+    assert doc["error"].startswith("ValueError: Out of range float values")
 
 
 def test_malformed_json_is_a_json_error(tmp_path, capsys):

@@ -84,9 +84,8 @@ def test_diagonal_value_is_normalized_characteristic_form(curvature_d4):
     # M = tau R / 2; at tau = 1 the determinant factor is the A-hat form
     table, R = curvature_d4
     H1 = mehler_kernel(1, R)
-    norm, pi_pow, pref = H1.at_origin()
-    assert pi_pow == -2 and norm == QC(Fraction(1, 16))
-    assert pref == a_hat(R)
+    assert H1.pi_pow == -2 and H1.norm == QC(Fraction(1, 16))
+    assert H1.prefactor == a_hat(R)
     # scaled time: compare against the series with R replaced by tau R
     tau = Fraction(1, 3)
     Ht = mehler_kernel(tau, R)
