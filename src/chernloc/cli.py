@@ -41,11 +41,22 @@ def _load_table(spec):
 
 
 def _parse_complex(x):
-    if isinstance(x, str):
-        return complex(x.replace("i", "j"))
-    if isinstance(x, (list, tuple)):
-        return complex(x[0], x[1])
-    return complex(x)
+    """A JSON number, a string such as "1-2i", "inf" or "1+infi", or a pair
+    [re, im] of real numbers or strings, as a complex number."""
+    try:
+        if isinstance(x, str):
+            return complex(x[:-1] + "j" if x.endswith("i") else x)
+        if isinstance(x, list) and len(x) == 2:
+            return complex(_parse_real(x[0]), _parse_real(x[1]))
+        return complex(_parse_real(x))
+    except (ValueError, OverflowError):
+        raise ValueError(f"bad complex number {x!r}") from None
+
+
+def _parse_real(x):
+    if isinstance(x, bool) or not isinstance(x, (str, int, float)):
+        raise ValueError
+    return float(x)
 
 
 def _parse_matrix(rows):

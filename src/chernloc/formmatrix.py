@@ -10,7 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial
 
-from .multiform import FormElement
+from .multiform import FormElement, sum_of_products
 
 
 class FormMatrix:
@@ -99,19 +99,10 @@ class FormMatrix:
 
     def __matmul__(self, other):
         self._compat(other, mul=True)
-        n, k = self.shape
-        _, m = other.shape
-        z = self.table.zero()
-        out = []
-        for i in range(n):
-            row = []
-            for j in range(m):
-                acc = z
-                for t in range(k):
-                    acc = acc + self.rows[i][t] * other.rows[t][j]
-                row.append(acc)
-            out.append(row)
-        return FormMatrix(self.table, out)
+        table = self.table
+        cols = tuple(zip(*other.rows))
+        return FormMatrix(table, [[sum_of_products(table, zip(row, col)) for col in cols]
+                                  for row in self.rows])
 
     def transpose(self):
         n, m = self.shape
@@ -195,12 +186,20 @@ def mat_powers(mat):
         powers.append(power)
 
 
+def power_sum(powers, coeffs):
+    """sum_k coeffs[k] * powers[k] for powers = [I, M, M^2, ...], each entry
+    accumulated in one term map."""
+    table = powers[0].table
+    n = powers[0].shape[0]
+    scaled = [(table.scalar(c), power) for power, c in zip(powers, coeffs) if c]
+    return FormMatrix(table, [[sum_of_products(table, ((s, p.rows[i][j]) for s, p in scaled))
+                               for j in range(n)] for i in range(n)])
+
+
 def mat_exp_nilpotent(mat):
     """exp of a matrix whose entries all have positive form degree."""
-    out = FormMatrix.zero(mat.table, mat.shape[0])
-    for k, power in enumerate(mat_powers(mat)):
-        out = out + power.scale(Fraction(1, factorial(k)))
-    return out
+    powers = mat_powers(mat)
+    return power_sum(powers, [Fraction(1, factorial(k)) for k in range(len(powers))])
 
 
 def det_leibniz(mat):

@@ -34,12 +34,19 @@ from fractions import Fraction
 from itertools import product as _cartesian
 
 import numpy as np
-from scipy.linalg import expm as _expm
 
 from .barcomplex import BarChain, Cochain
 from .formmatrix import FormMatrix, mat_exp_nilpotent
 from .multiform import SIGMA_ID, FormElement
 from .scalars import QC, QC_ONE
+
+
+def _expm(a):
+    """Matrix exponential; scipy is imported on the first call, so importing
+    the package does not pay for ``scipy.linalg``."""
+    from scipy.linalg import expm
+    return expm(a)
+
 
 # -- the model -------------------------------------------------------------------
 

@@ -31,7 +31,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .formmatrix import FormMatrix, mat_powers
+from .formmatrix import FormMatrix, mat_powers, power_sum
 from .multiform import (FormElement, GeneratorTable, exp_nilpotent,
                         inverse_unit, log_one_plus)
 from .scalars import (QC, PiScalar, TauPoly, bernoulli_numbers, coerce,
@@ -145,15 +145,6 @@ def _cauchy(a, b):
             for k in range(len(a))]
 
 
-def _power_sum(powers, coeffs):
-    """sum_k coeffs[k] * powers[k] for powers = [I, M, M^2, ...]."""
-    out = FormMatrix.zero(powers[0].table, powers[0].shape[0])
-    for power, c in zip(powers, coeffs):
-        if c:
-            out = out + power.scale(c)
-    return out
-
-
 def _mat_log_trace(S):
     """trace log S for S = I + nilpotent."""
     powers = mat_powers(S - FormMatrix.identity(S.table, S.shape[0]))
@@ -170,7 +161,7 @@ def a_hat(R):
     only degrees divisible by four occur.
     """
     powers = mat_powers(R.mat.scale(Fraction(1, 2)))
-    S = _power_sum(powers, _sinhc_coeffs(len(powers)))
+    S = power_sum(powers, _sinhc_coeffs(len(powers)))
     return exp_nilpotent(_mat_log_trace(S).scale(Fraction(-1, 2)))
 
 
@@ -374,11 +365,11 @@ def mehler_kernel(tau, R, formal=False):
     powers = mat_powers(M)
     n = len(powers)
     inv_tau = _inv_scalar(tau)
-    a = _power_sum(powers, _zcoth_coeffs(n)).scale(inv_tau * QC(Fraction(1, 4)))
+    a = power_sum(powers, _zcoth_coeffs(n)).scale(inv_tau * QC(Fraction(1, 4)))
     # exp(M) zcsch(M) is one series in M
-    btilde = _power_sum(powers, _cauchy(_exp_coeffs(n), _zcsch_coeffs(n))) \
+    btilde = power_sum(powers, _cauchy(_exp_coeffs(n), _zcsch_coeffs(n))) \
         .scale(inv_tau * QC(half))
-    det, _ = _eliminate(_power_sum(powers, _sinhc_coeffs(n)))
+    det, _ = _eliminate(power_sum(powers, _sinhc_coeffs(n)))
     scalar, prefactor = _det_invsqrt(det)
     norm = scalar * QC(Fraction(1, 4 ** (d // 2))) * _scalar_pow(tau, -(d // 2))
     return GaussianKernel.assemble(table, d, norm, -(d // 2), prefactor,

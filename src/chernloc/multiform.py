@@ -34,13 +34,21 @@ class TableMismatchError(ValueError):
 class GeneratorTable:
     """Generators, degrees, differentials and the ambient top degree.
 
-    The table memoizes the terms of ``d_T`` of a monomial (:meth:`mono_d_T`,
-    a tuple of ``(monomial, coefficient)`` pairs) and the signed product of
-    an ordered pair of monomials (:meth:`mono_product`, a ``(monomial,
-    sign)`` pair).  Entries are immutable tuples filled on first use, so a
-    fresh table costs nothing.  Both memos are cleared by
-    :meth:`add_generator` and :meth:`set_differential`; their size is bounded
-    by the table's finite set of monomials and of pairs of monomials.
+    The table keeps three memos, each filled on first use with immutable
+    tuples, so a fresh table costs nothing:
+
+    * the signed product of an ordered pair of monomials
+      (:meth:`mono_product`, a ``(monomial, sign)`` pair), read by every
+      form product through :func:`sum_of_products` and by ``barcomplex.b1``;
+    * the terms of ``d`` of a monomial (:meth:`mono_d`, a tuple of
+      ``(monomial, coefficient)`` pairs), read by :meth:`FormElement.d` and
+      :meth:`mono_d_T`;
+    * the terms of ``d_T = d - iota`` of a monomial (:meth:`mono_d_T`),
+      read by ``barcomplex.b0``.
+
+    All three are cleared by :meth:`add_generator` and
+    :meth:`set_differential`; their size is bounded by the table's finite
+    set of monomials and of pairs of monomials.
     """
 
     def __init__(self, top_degree, generators=()):
@@ -52,14 +60,16 @@ class GeneratorTable:
         self._degrees = [-1]
         self._ids = {SIGMA: SIGMA_ID}
         self._diffs = {}
-        self._d_T_memo = {}
         self._product_memo = {}
+        self._d_memo = {}
+        self._d_T_memo = {}
         for name, deg in generators:
             self.add_generator(name, deg)
 
     def _clear_memos(self):
-        self._d_T_memo.clear()
         self._product_memo.clear()
+        self._d_memo.clear()
+        self._d_T_memo.clear()
 
     # -- construction -------------------------------------------------
     def add_generator(self, name, degree):
@@ -110,9 +120,6 @@ class GeneratorTable:
 
     def degree_of(self, gid):
         return self._degrees[gid]
-
-    def parity_of(self, gid):
-        return self._degrees[gid] & 1
 
     def differential(self, gid):
         form = self._diffs.get(gid)
@@ -180,12 +187,33 @@ class GeneratorTable:
             return None, 0
         return merged, sign
 
+    def mono_d(self, mono):
+        """Terms of d of a monomial, as a tuple of (monomial, coefficient)
+        pairs: the Leibniz sum of (-1)^(prefix parity) prefix * d(g) * suffix."""
+        terms = self._d_memo.get(mono)
+        if terms is None:
+            out = {}
+            parity = 0
+            for pos, g in enumerate(mono):
+                dg = self._diffs.get(g)
+                if dg is not None:
+                    left = {}
+                    _mul_into(left, self, {mono[:pos]: QC_ONE}, dg.terms)
+                    _mul_into(out, self, left,
+                              {mono[pos + 1:]: -QC_ONE if parity else QC_ONE})
+                parity ^= self._degrees[g] & 1
+            terms = self._d_memo[mono] = tuple(out.items())
+        return terms
+
     def mono_d_T(self, mono):
-        """Terms of d_T of a monomial, as a tuple of (monomial, coefficient) pairs."""
+        """Terms of d_T = d - iota of a monomial, as a tuple of (monomial,
+        coefficient) pairs."""
         terms = self._d_T_memo.get(mono)
         if terms is None:
-            terms = tuple(FormElement(self, {mono: QC_ONE}).d_T().terms.items())
-            self._d_T_memo[mono] = terms
+            out = dict(self.mono_d(mono))
+            if mono and mono[0] == SIGMA_ID:
+                _add_term(out, mono[1:], -QC_ONE)
+            terms = self._d_T_memo[mono] = tuple(out.items())
         return terms
 
     def mono_product(self, ma, mb):
@@ -311,22 +339,9 @@ class FormElement:
     def __mul__(self, other):
         if isinstance(other, FormElement):
             self._check(other)
-            table = self.table
             out = {}
-            for ma, ca in self.terms.items():
-                for mb, cb in other.terms.items():
-                    mono, sign = table.mul_monomials(ma, mb)
-                    if mono is None:
-                        continue
-                    c = ca * cb
-                    if sign < 0:
-                        c = -c
-                    s = out.get(mono, QC_ZERO) + c
-                    if iszero(s):
-                        out.pop(mono, None)
-                    else:
-                        out[mono] = s
-            return FormElement._nonzero(table, out)
+            _mul_into(out, self.table, self.terms, other.terms)
+            return FormElement._nonzero(self.table, out)
         return self.scale(other)
 
     def __rmul__(self, other):
@@ -385,18 +400,11 @@ class FormElement:
     def d(self):
         """Extension of the generator differentials as an odd derivation."""
         table = self.table
-        result = table.zero()
+        out = {}
         for mono, coeff in self.terms.items():
-            prefix_parity = 0
-            for pos, g in enumerate(mono):
-                dg = table.differential(g)
-                if not dg.is_zero():
-                    left = FormElement(table, {mono[:pos]: QC_ONE})
-                    right = FormElement(table, {mono[pos + 1:]: QC_ONE})
-                    term = left * dg * right
-                    result += term.scale(-coeff if prefix_parity else coeff)
-                prefix_parity ^= table.parity_of(g)
-        return result
+            for m, c in table.mono_d(mono):
+                _add_term(out, m, coeff * c)
+        return FormElement._nonzero(table, out)
 
     def d_T(self):
         return self.d() - self.iota()
@@ -475,6 +483,53 @@ def check_dga(table):
         if not dg.d().is_zero():
             failures.append(f"{name}: d^2 != 0")
     return DgaReport(not failures, failures)
+
+
+# -- the product kernel ---------------------------------------------------------------
+
+
+def _add_term(out, mono, c):
+    """Add ``c`` to the coefficient of ``mono`` in ``out``, dropping it when
+    the sum cancels."""
+    s = out.get(mono, QC_ZERO) + c
+    if iszero(s):
+        out.pop(mono, None)
+    else:
+        out[mono] = s
+
+
+def _mul_into(out, table, ta, tb):
+    """Add the product of the term maps ``ta`` and ``tb`` into the term map
+    ``out``; monomial products are read through the table's product memo."""
+    memo = table._product_memo
+    for ma, ca in ta.items():
+        for mb, cb in tb.items():
+            product = memo.get((ma, mb))
+            if product is None:
+                product = table.mono_product(ma, mb)
+            mono, sign = product
+            if mono is None:
+                continue
+            c = ca * cb
+            if sign < 0:
+                c = -c
+            # _add_term, inlined: this is the innermost loop of every product
+            s = out.get(mono, QC_ZERO) + c
+            if iszero(s):
+                out.pop(mono, None)
+            else:
+                out[mono] = s
+
+
+def sum_of_products(table, pairs):
+    """sum a * b over the (a, b) pairs of FormElements over ``table``,
+    accumulated in one term map."""
+    out = {}
+    for a, b in pairs:
+        if a.table is not table or b.table is not table:
+            raise TableMismatchError("elements over different generator tables")
+        _mul_into(out, table, a.terms, b.terms)
+    return FormElement._nonzero(table, out)
 
 
 # -- series utilities on nilpotent elements ----------------------------------------

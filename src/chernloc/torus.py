@@ -39,6 +39,8 @@ class TorusModel:
         for L in (self.L1, self.L2):
             if not (math.isfinite(L) and L > 0):
                 raise ValueError(f"side lengths must be finite and positive, got {L!r}")
+        if not math.isfinite(self.L1 * self.L2):
+            raise ValueError(f"the area L1 * L2 = {self.L1!r} * {self.L2!r} overflows")
         if not isinstance(self.K, numbers.Integral) or isinstance(self.K, bool):
             raise ValueError(f"Fourier cutoff must be an integer, got {self.K!r}")
         if self.K < 1:
@@ -62,8 +64,8 @@ class TorusModel:
 def _gaussian_sum(model, s):
     """sum over the truncated lattice of exp(-s |kappa|^2), as the product of
     the two circle sums."""
-    if not s > 0:
-        raise ValueError("heat time must be positive")
+    if not (s > 0 and math.isfinite(s)):
+        raise ValueError(f"heat time must be finite and positive, got {s!r}")
     e1, e2 = np.exp(-s * model.mode_energies())
     return float(np.sum(e1)) * float(np.sum(e2))
 
@@ -75,8 +77,8 @@ def heat_trace(model, s):
 
 def poisson_heat_trace(model, s, q_max=12):
     """Poisson-summation evaluation of the full (untruncated) heat trace."""
-    if not s > 0:
-        raise ValueError("heat time must be positive")
+    if not (s > 0 and math.isfinite(s)):
+        raise ValueError(f"heat time must be finite and positive, got {s!r}")
     total = 2.0
     for L, letter in ((model.L1, model.spin[0]), (model.L2, model.spin[1])):
         delta = _SPIN_OFFSETS[letter]
@@ -134,8 +136,9 @@ def chern_t_torus(model, t, theta_fourier):
     cyclicity, giving t^2 Str(c(theta'') e^(-t^2 D^2)).  Spectrally only the
     zero mode of f contributes.
     """
-    if not t > 0:
-        raise ValueError("the scaling parameter must be positive")
+    if not (t > 0 and 0 < t * t < math.inf):
+        raise ValueError(f"the scaling parameter t must be positive with t^2 a positive "
+                         f"finite float, got {t!r}")
     f0 = _zero_mode(theta_fourier)
     if f0 == 0:
         return 0j

@@ -1,7 +1,9 @@
 import json
+import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from chernloc.cli import main
@@ -164,8 +166,12 @@ def test_torus_cli_rejects_non_finite_beta(capsys, beta):
     assert doc["error"].startswith("ValueError: Fourier coefficient (0, 0)")
 
 
-@pytest.mark.parametrize("coeff", [float("nan"), float("-inf"), "nan",
-                                   [1.0, float("inf")]])
+@pytest.mark.parametrize("coeff", [
+    float("nan"), float("-inf"), "nan", [1.0, float("inf")],
+    # strings and string pairs parse, then fail the finiteness check
+    pytest.param("inf", id="str-inf"), pytest.param("-inf", id="str-minus-inf"),
+    pytest.param("1+infi", id="str-1+infi"), pytest.param("nani", id="str-nani"),
+    pytest.param(["1", "nan"], id="pair-1-nan"), pytest.param(["-inf", 0], id="pair-minus-inf-0")])
 def test_torus_cli_rejects_non_finite_theta(tmp_path, capsys, coeff):
     path = tmp_path / "theta.json"
     path.write_text(json.dumps({"0,0": 1.0, "2,-1": coeff}))
@@ -175,10 +181,76 @@ def test_torus_cli_rejects_non_finite_theta(tmp_path, capsys, coeff):
     assert doc["error"].startswith("ValueError: Fourier coefficient (2, -1)")
 
 
+@pytest.mark.parametrize("coeff, value", [
+    ("2i", 2j), ("-i", -1j), ("1-2.5i", 1 - 2.5j), ("3", 3), (["0.5", "-1"], 0.5 - 1j)])
+def test_torus_cli_reads_complex_strings_and_pairs(tmp_path, capsys, coeff, value):
+    path = tmp_path / "theta.json"
+    path.write_text(json.dumps({"0,0": coeff}))
+    code, doc = run_cli(capsys, ["torus", "--theta", str(path), "-K", "2"])
+    assert code in (0, 1)
+    target = complex(*doc["rows"][0]["target"])
+    assert target == pytest.approx(value * (2 * math.pi) ** 2 / (2j * math.pi))
+
+
+@pytest.mark.parametrize("coeff", ["1 + 2i", "1/2", "ii", "", [1], [1, 2, 3],
+                                   ["1/2", 0], [True, 0], True, None, {"re": 1}])
+def test_torus_cli_names_a_malformed_theta_value(tmp_path, capsys, coeff):
+    path = tmp_path / "theta.json"
+    path.write_text(json.dumps({"0,0": 1.0, "2,-1": coeff}))
+    code, doc = run_cli(capsys, ["torus", "--theta", str(path)])
+    assert code == 2
+    assert doc == {"ok": False, "error": f"ValueError: bad complex number {coeff!r}"}
+
+
+@pytest.mark.parametrize("field", ["Q", "c"])
+@pytest.mark.parametrize("coeff", ["1 + 2i", ["1", "x"], None])
+def test_model_cli_names_a_malformed_matrix_value(tmp_path, capsys, field, coeff):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(_model_with_entry(field, coeff)))
+    code, doc = run_cli(capsys, ["mckean-singer", str(path)])
+    assert code == 2
+    assert doc == {"ok": False, "error": f"ValueError: bad complex number {coeff!r}"}
+
+
+@pytest.mark.parametrize("field", ["Q", "c"])
+@pytest.mark.parametrize("coeff", ["inf", "1+infi", ["1", "nan"]])
+def test_model_cli_still_rejects_non_finite_matrix_values(tmp_path, capsys, field, coeff):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(_model_with_entry(field, coeff)))
+    with np.errstate(all="ignore"):
+        code, doc = run_cli(capsys, ["mckean-singer", str(path)])
+    assert code == 2
+    assert doc["ok"] is False
+    assert doc["error"].startswith("ValueError: Out of range float values")
+
+
+def _model_with_entry(field, coeff):
+    """The CLI model document with one odd entry of Q, or of the first c
+    matrix, replaced by ``coeff``."""
+    doc = _model_doc()
+    mat = doc["Q"] if field == "Q" else next(iter(doc["c"].values()))
+    mat[0][2] = coeff
+    return doc
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--t-grid", "inf"], "the scaling parameter t must be positive with t^2 a positive "
+                          "finite float, got inf"),
+    (["--t-grid", "0.2,1e200"], "the scaling parameter t must be positive with t^2 a positive "
+                                "finite float, got 1e+200"),
+    (["--t-grid", "0.2,1e-200"], "the scaling parameter t must be positive with t^2 a positive "
+                                 "finite float, got 1e-200"),
+    (["--L1", "1e200", "--L2", "1e200"], "the area L1 * L2 = 1e+200 * 1e+200 overflows")])
+def test_torus_cli_rejects_overflowing_times_and_sides(capsys, argv, message):
+    code, doc = run_cli(capsys, ["torus", *argv, "-K", "2"])
+    assert code == 2
+    assert doc == {"ok": False, "error": f"ValueError: {message}"}
+
+
 def test_non_finite_result_is_a_json_error(capsys):
-    # finite sides whose area overflows give an infinite target and a NaN
+    # a finite beta whose target overflows gives an infinite target and a NaN
     # relative error; the report is refused before anything reaches stdout
-    code, doc = run_cli(capsys, ["torus", "--L1", "1e200", "--L2", "1e200", "-K", "2"])
+    code, doc = run_cli(capsys, ["torus", "--beta", "1e308", "-K", "2"])
     assert code == 2
     assert doc["ok"] is False
     assert doc["error"].startswith("ValueError: Out of range float values")

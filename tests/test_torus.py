@@ -30,6 +30,8 @@ def test_model_validation():
             TorusModel(L1=L)
         with pytest.raises(ValueError, match="side lengths"):
             TorusModel(L2=L)
+    with pytest.raises(ValueError, match="area L1 \\* L2 = 1e\\+200 \\* 1e\\+200 overflows"):
+        TorusModel(L1=1e200, L2=1e200)
     for K in (2.5, 3.0, True, "3"):
         with pytest.raises(ValueError, match="must be an integer"):
             TorusModel(K=K)
@@ -106,15 +108,15 @@ def test_cutoff_stability():
 
 def test_rejects_nonpositive_time():
     model = TorusModel()
-    for s in (0.0, -0.5, math.nan):
+    for s in (0.0, -0.5, math.nan, math.inf):
         with pytest.raises(ValueError, match="heat time"):
             heat_trace(model, s)
         with pytest.raises(ValueError, match="heat time"):
             heat_supertrace(model, s)
-    for t in (0.0, -1.0, math.nan):
-        with pytest.raises(ValueError):
+    for t in (0.0, -1.0, math.nan, math.inf, 1e200, 1e-200):
+        with pytest.raises(ValueError, match="scaling parameter"):
             chern_t_torus(model, t, {(0, 0): 1.0})
-    for s in (0.0, -0.5, math.nan):
+    for s in (0.0, -0.5, math.nan, math.inf):
         with pytest.raises(ValueError, match="heat time"):
             poisson_heat_trace(model, s)
 
