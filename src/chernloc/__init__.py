@@ -22,8 +22,8 @@ The package is organized around:
 
 from .barcomplex import (BarChain, Cochain, b, b0, b1, beta, cochain_mul,
                          cyclic_symmetrize, is_cyclic, restrict_i)
-from .clifford import (CliffordElement, berezin_str, clifford_mul,
-                       exterior_table, quantize, spinor_representation, symbol)
+from .clifford import (CliffordElement, berezin_str, exterior_table, quantize,
+                       spinor_representation, symbol)
 from .formmatrix import FormMatrix
 from .fredholm import (FredholmModel, bismut_chern, chern_t,
                        curvature_cochain, mckean_singer_check)
@@ -43,7 +43,7 @@ __version__ = "0.1.0"
 __all__ = [
     "BarChain", "Cochain", "b", "b0", "b1", "beta", "cochain_mul",
     "cyclic_symmetrize", "is_cyclic", "restrict_i",
-    "CliffordElement", "berezin_str", "clifford_mul", "exterior_table",
+    "CliffordElement", "berezin_str", "exterior_table",
     "quantize", "spinor_representation", "symbol",
     "FormMatrix",
     "FredholmModel", "bismut_chern", "chern_t", "curvature_cochain",

@@ -243,10 +243,6 @@ def symbol(a, k=None, table=None):
     return out
 
 
-def clifford_mul(a, b):
-    return a * b
-
-
 def berezin_str(a):
     """Berezin supertrace: (2/i)^(d/2) times the top-subset coefficient."""
     if a.dim % 2:

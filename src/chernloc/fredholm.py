@@ -88,6 +88,8 @@ class FredholmModel:
         problems = []
         if self.Q.shape != (self.dim, self.dim):
             problems.append("Q has the wrong shape")
+        elif not np.isfinite(self.Q).all():
+            problems.append("Q has a non-finite entry")
         elif np.any(self.Q) and self._block_parity(self.Q) != 1:
             problems.append("Q is not odd for the grading")
         for mono, mat in self.c_map.items():
@@ -97,7 +99,9 @@ class FredholmModel:
             if SIGMA_ID in mono:
                 problems.append("c is only defined on sigma-free monomials")
                 continue
-            if np.any(mat):
+            if not np.isfinite(mat).all():
+                problems.append(f"c({self.table.mono_str(mono)}) has a non-finite entry")
+            elif np.any(mat):
                 want = self.table.mono_degree(mono) & 1
                 if self._block_parity(mat) != want:
                     problems.append(f"c({self.table.mono_str(mono)}) parity mismatch")
@@ -231,27 +235,24 @@ def curvature_cochain(model):
 # -- simplex integrals ---------------------------------------------------------------
 
 
-def _expm_corner(A, superdiag1, superdiag2=()):
-    """Top-right block of expm of the block upper-triangular matrix with -A
-    on the diagonal and the given blocks on its first two superdiagonals
-    (Van Loan's construction: the corner sums the simplex integrals of every
-    index-increasing path through the blocks)."""
-    k = len(superdiag1)
+def simplex_matrix_integral(A, Bs, Bs2=()):
+    """int_{sum s_p = 1, s_p >= 0} e^(-s_0 A) B_1 e^(-s_1 A) ... B_k e^(-s_k A) ds
+    for Bs = [B_1, ..., B_k]: the top-right block of expm of the block
+    upper-triangular matrix with -A on the diagonal and Bs on the first
+    superdiagonal (Van Loan's construction).  Blocks ``Bs2`` on the second
+    superdiagonal add the paths that skip a slot, so the corner sums the
+    simplex integrals of every index-increasing path through the blocks.
+    """
+    k = len(Bs)
     n = A.shape[0]
     big = np.zeros(((k + 1) * n, (k + 1) * n), dtype=complex)
     for p in range(k + 1):
         big[p * n:(p + 1) * n, p * n:(p + 1) * n] = -A
-    for p, B in enumerate(superdiag1):
+    for p, B in enumerate(Bs):
         big[p * n:(p + 1) * n, (p + 1) * n:(p + 2) * n] = B
-    for p, B in enumerate(superdiag2):
+    for p, B in enumerate(Bs2):
         big[p * n:(p + 1) * n, (p + 2) * n:(p + 3) * n] = B
     return _expm(big)[0:n, k * n:(k + 1) * n]
-
-
-def simplex_matrix_integral(A, Bs):
-    """int_{sum s_p = 1, s_p >= 0} e^(-s_0 A) B_1 e^(-s_1 A) ... B_k e^(-s_k A) ds
-    via the block upper-bidiagonal matrix exponential."""
-    return _expm_corner(A, Bs)
 
 
 def simplex_str_quad(A, Bs, weight, order=32):
@@ -449,7 +450,7 @@ def _chern_matrix_word(model, t, mats, engine):
     Qh, Gh = _kron_model(model, n)
     A = (t ** 2) * (Qh @ Qh)
     if engine == "expm":
-        corner = _expm_corner(
+        corner = simplex_matrix_integral(
             A, [-_scaled_f1(model, t, mats[i], cache) for i in range(N)],
             [-_scaled_f2(model, t, mats[i], mats[i + 1], cache) for i in range(N - 1)])
         return complex(np.trace(Gh @ corner))

@@ -11,9 +11,12 @@ numeric part is positive definite (Sylvester's criterion).
 Main objects:
 
 * :func:`a_hat` -- det^(1/2)((R/2)/sinh(R/2)) via exp(1/2 tr log ...).
-* :func:`mehler_kernel` -- the two-point oscillator heat kernel; with a
-  formal time parameter it supports an exact heat-equation check.
-* :func:`heat_element` -- its one-point boundary restriction H_tau(X).
+* :func:`mehler_kernel` -- the two-point oscillator heat kernel.
+* :func:`heat_element` -- its one-point boundary restriction H_tau(X),
+  built from the shared X-X data alone.
+* :func:`heat_equation_residual` -- the heat equation for the kernel with a
+  formal time parameter, as one symmetric matrix of a quadratic form in
+  (1, X, Y); it vanishes exactly.
 * :func:`twisted_convolve` -- convolution weighted by exp(-1/2 kappa(X,Y)),
   under which the heat elements form an exact semigroup.
 * :func:`str_zero` -- the boundary supertrace (2/i)^(d/2) times top-degree
@@ -306,10 +309,6 @@ class GaussianKernel:
         return GaussianKernel(self.table, self.d, self.norm, self.pi_pow,
                               form * self.prefactor, self.quad)
 
-    def scale(self, c):
-        return GaussianKernel(self.table, self.d, self.norm * c, self.pi_pow,
-                              self.prefactor, self.quad)
-
     def mul(self, other):
         """Pointwise product of kernels over the same variables."""
         if other.table is not self.table or other.d != self.d:
@@ -328,12 +327,6 @@ class GaussianKernel:
                                        self.pi_pow, self.prefactor,
                                        A, -A, A)
 
-    def restrict_second_point(self):
-        """Two-variable kernel evaluated at Y = 0."""
-        return GaussianKernel.assemble(self.table, self.d, self.norm,
-                                       self.pi_pow, self.prefactor,
-                                       self.xx_block(), None, None)
-
     def __eq__(self, other):
         if not isinstance(other, GaussianKernel):
             return NotImplemented
@@ -346,6 +339,28 @@ class GaussianKernel:
                 f"pi^{self.pi_pow} pref={self.prefactor}>")
 
 
+def _kernel_parts(tau, R, formal):
+    """What the one- and two-point kernels share: 1/tau, the powers of
+    tau R/2, the norm, the prefactor det^(-1/2)(sinh(tau R/2)/(tau R/2)) and
+    the X-X block (1/(2 tau)) (tau R/2) coth(tau R/2)."""
+    if formal:
+        tau = TauPoly.var(1)
+    else:
+        tau = QC(Fraction(tau)) if not isinstance(tau, QC) else tau
+        if complex(tau).real <= 0:
+            raise ValueError("time parameter must be positive")
+    d = R.d
+    half = QC(Fraction(1, 2))
+    powers = mat_powers(R.mat.scale(tau * half))
+    n = len(powers)
+    inv_tau = _inv_scalar(tau)
+    xx = power_sum(powers, _zcoth_coeffs(n)).scale(inv_tau * half)
+    det, _ = _eliminate(power_sum(powers, _sinhc_coeffs(n)))
+    scalar, prefactor = _det_invsqrt(det)
+    norm = scalar * QC(Fraction(1, 4 ** (d // 2))) * _scalar_pow(tau, -(d // 2))
+    return inv_tau, powers, norm, prefactor, xx
+
+
 def mehler_kernel(tau, R, formal=False):
     """Two-point oscillator heat kernel on the model fiber.
 
@@ -353,32 +368,21 @@ def mehler_kernel(tau, R, formal=False):
     coefficients are Laurent polynomials in it, which supports exact
     differentiation in the heat-equation check.
     """
-    table, d = R.table, R.d
-    if formal:
-        tau = TauPoly.var(1)
-    else:
-        tau = QC(Fraction(tau)) if not isinstance(tau, QC) else tau
-        if complex(tau).real <= 0:
-            raise ValueError("time parameter must be positive")
-    half = Fraction(1, 2)
-    M = R.mat.scale(tau * QC(half))
-    powers = mat_powers(M)
+    inv_tau, powers, norm, prefactor, xx = _kernel_parts(tau, R, formal)
     n = len(powers)
-    inv_tau = _inv_scalar(tau)
-    a = power_sum(powers, _zcoth_coeffs(n)).scale(inv_tau * QC(Fraction(1, 4)))
     # exp(M) zcsch(M) is one series in M
-    btilde = power_sum(powers, _cauchy(_exp_coeffs(n), _zcsch_coeffs(n))) \
-        .scale(inv_tau * QC(half))
-    det, _ = _eliminate(power_sum(powers, _sinhc_coeffs(n)))
-    scalar, prefactor = _det_invsqrt(det)
-    norm = scalar * QC(Fraction(1, 4 ** (d // 2))) * _scalar_pow(tau, -(d // 2))
-    return GaussianKernel.assemble(table, d, norm, -(d // 2), prefactor,
-                                   a.scale(2), -btilde, a.scale(2))
+    xy = power_sum(powers, _cauchy(_exp_coeffs(n), _zcsch_coeffs(n))) \
+        .scale(inv_tau * QC(Fraction(-1, 2)))
+    return GaussianKernel.assemble(R.table, R.d, norm, -(R.d // 2), prefactor,
+                                   xx, xy, xx)
 
 
 def heat_element(tau, R, formal=False):
-    """One-point heat element H_tau(X); equals the two-point kernel at Y=0."""
-    return mehler_kernel(tau, R, formal=formal).restrict_second_point()
+    """One-point heat element H_tau(X), the two-point kernel at Y = 0,
+    built without the X-Y and Y-Y blocks."""
+    _, _, norm, prefactor, xx = _kernel_parts(tau, R, formal)
+    return GaussianKernel.assemble(R.table, R.d, norm, -(R.d // 2), prefactor,
+                                   xx, None, None)
 
 
 def kappa_form(X, Y, R, coeff=None):
@@ -524,63 +528,6 @@ def str_zero(x):
 # -- heat equation ------------------------------------------------------------------
 
 
-class _Poly:
-    """Polynomials in the 2d fiber coordinates with FormElement coefficients."""
-
-    __slots__ = ("table", "terms")
-
-    def __init__(self, table, terms=None):
-        self.table = table
-        self.terms = {}
-        if terms:
-            for mono, c in terms.items():
-                if not c.is_zero():
-                    self.terms[tuple(sorted(mono))] = c
-
-    @classmethod
-    def const(cls, form):
-        return cls(form.table, {(): form})
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            s = out.get(m)
-            s = c if s is None else s + c
-            if s.is_zero():
-                out.pop(m, None)
-            else:
-                out[m] = s
-        return _Poly(self.table, out)
-
-    def __sub__(self, other):
-        return self + other.scale_all(-1)
-
-    def scale_all(self, c):
-        return _Poly(self.table, {m: f.scale(c) for m, f in self.terms.items()})
-
-    def __mul__(self, other):
-        out = {}
-        for ma, fa in self.terms.items():
-            for mb, fb in other.terms.items():
-                m = tuple(sorted(ma + mb))
-                f = fa * fb
-                if f.is_zero():
-                    continue
-                s = out.get(m)
-                s = f if s is None else s + f
-                if s.is_zero():
-                    out.pop(m, None)
-                else:
-                    out[m] = s
-        return _Poly(self.table, out)
-
-    def mul_form(self, form):
-        return _Poly(self.table, {m: form * f for m, f in self.terms.items()})
-
-    def is_zero(self):
-        return not self.terms
-
-
 def _tau_derivative_form(form):
     out = {}
     for mono, c in form.terms.items():
@@ -595,53 +542,31 @@ def heat_equation_residual(R):
     """Residual of d/dtau H = sum_i (d/dX_i - 1/4 (R X)_i)^2 H, computed
     symbolically with a formal time parameter.
 
-    Returns a polynomial in the fiber variables whose vanishing is the heat
-    equation; every surviving coefficient would be an exact failure witness.
+    With H = N P exp(-1/2 v^T Q v), v = (X, Y), the residual divided by
+    N exp(-1/2 v^T Q v) is a quadratic polynomial in (1, X, Y); it is
+    returned as its symmetric (2d+1) x (2d+1) FormMatrix, whose vanishing is
+    the heat equation.  Every nonzero entry is an exact failure witness.
+    The constant entry is P N'/N + P' + P tr Q_XX and the quadratic block
+    (-1/2 Q' - L^T L) P, where ' is d/dtau and w = L v are the linear forms
+    with (d/dX_i - 1/4 (R X)_i) H = w_i H.
     """
     table, d = R.table, R.d
     H = mehler_kernel(None, R, formal=True)
     Q = H.quad
     P = H.prefactor
-    n_ratio = _norm_log_derivative(H.norm)
-
-    two_d = 2 * d
     zero = table.zero()
-
-    # dE/dtau = -1/2 sum Q'_ab v_a v_b
-    dtau_E = _Poly(table)
-    for a in range(two_d):
-        for bidx in range(a, two_d):
-            dq = _tau_derivative_form(Q[a, bidx])
-            if dq.is_zero():
-                continue
-            w = Fraction(-1, 2) if a == bidx else Fraction(-1)
-            dtau_E = dtau_E + _Poly(table, {(a, bidx): dq.scale(w)})
-
-    # v_i = dE/dX_i - 1/4 (R X)_i  (linear in the fiber variables)
-    vs = []
-    div_terms = table.zero()
-    for i in range(d):
-        coeffs = {}
-        for bidx in range(two_d):
-            q = Q[i, bidx]
-            if not q.is_zero():
-                coeffs[(bidx,)] = -q
-        for j in range(d):
-            r = R.entry(i, j)
-            if not r.is_zero():
-                prev = coeffs.get((j,), zero)
-                coeffs[(j,)] = prev + r.scale(Fraction(-1, 4))
-        vs.append(_Poly(table, coeffs))
-        div_terms = div_terms + (-Q[i, i])   # d(v_i)/dX_i; R_ii = 0
-
-    lap = _Poly.const(div_terms)
-    for v in vs:
-        lap = lap + v * v
-
-    residual = _Poly.const(P.scale(n_ratio) + _tau_derivative_form(P))
-    residual = residual + dtau_E.mul_form(P)
-    residual = residual - lap.mul_form(P)
-    return residual
+    quarter_R = R.mat.scale(Fraction(1, 4))
+    pad = (zero,) * d
+    L = -FormMatrix(table, [[q + r for q, r in zip(Q.rows[i], quarter_R.rows[i] + pad)]
+                            for i in range(d)])
+    # sum_i d(w_i)/dX_i = -sum_i Q_ii, since R_ii = 0
+    constant = (P.scale(_norm_log_derivative(H.norm)) + _tau_derivative_form(P)
+                + P * H.xx_block().trace())
+    quad = (Q.map_entries(_tau_derivative_form).scale(Fraction(-1, 2))
+            - L.transpose() @ L).scale_form(P)
+    rows = [[constant] + [zero] * (2 * d)]
+    rows += [[zero] + list(row) for row in quad.rows]
+    return FormMatrix(table, rows)
 
 
 def _norm_log_derivative(norm):

@@ -534,56 +534,44 @@ def sum_of_products(table, pairs):
 
 # -- series utilities on nilpotent elements ----------------------------------------
 
+def _series(u, coeff, out):
+    """out + sum_{k >= 1} coeff(k) u^k, walked until the power u^k vanishes
+    (finite when u has no constant term)."""
+    power = u.table.one()
+    k = 1
+    while True:
+        power = power * u
+        if power.is_zero():
+            return out
+        out += power.scale(coeff(k))
+        k += 1
+
+
 def exp_nilpotent(u):
     """exp(u) for a form with zero constant term (finite by nilpotency)."""
     if not iszero(u.constant_term()):
         raise ValueError("exp requires a nilpotent element (no constant term)")
-    table = u.table
-    out = table.one()
-    term = table.one()
-    k = 1
-    while True:
-        term = term * u
-        if term.is_zero():
-            return out
-        out += term.scale(Fraction(1, math.factorial(k)))
-        k += 1
+    return _series(u, lambda k: Fraction(1, math.factorial(k)), u.table.one())
 
 
 def log_one_plus(u):
     """log(1 + u) for a form u with zero constant term."""
     if not iszero(u.constant_term()):
         raise ValueError("log(1+u) requires u without constant term")
-    table = u.table
-    out = table.zero()
-    power = table.one()
-    k = 1
-    while True:
-        power = power * u
-        if power.is_zero():
-            return out
-        c = Fraction(1, k) if k % 2 else Fraction(-1, k)
-        out += power.scale(c)
-        k += 1
+    return _series(u, lambda k: Fraction(1 if k % 2 else -1, k), u.table.zero())
 
 
 def inverse_unit(f):
-    """Inverse of a form whose constant term is invertible."""
+    """Inverse of a form whose constant term is invertible: with
+    f = c0 (1 + u), f^-1 = c0^-1 sum (-u)^k."""
     c0 = f.constant_term()
     if iszero(c0):
         raise ValueError("element has no constant term; not invertible")
     c0 = coerce(c0)
     inv0 = QC(1) / c0 if isinstance(c0, QC) else 1.0 / c0
-    u = f.scale(inv0) - f.table.one()   # nilpotent part of f/c0
-    out = f.table.one()
-    power = f.table.one()
-    sign = 1
-    while True:
-        power = power * u
-        if power.is_zero():
-            return out.scale(inv0)
-        sign = -sign
-        out += power.scale(sign)
+    # f/c0 - 1 as f/c0 without its constant term, so no rounded constant stays
+    u = FormElement(f.table, {m: inv0 * c for m, c in f.terms.items() if m})
+    return _series(u, lambda k: (-1) ** k, f.table.one()).scale(inv0)
 
 
 # -- expression parser ---------------------------------------------------------------

@@ -222,6 +222,65 @@ def test_heat_equation_detects_wrong_kernel(curvature_d4, monkeypatch):
     assert mh.heat_equation_residual(R).is_zero()
 
 
+def _curvature(d):
+    """Entry (i, j), i < j, is +-(generator (i + j) mod k): nonzero at every d."""
+    table = GeneratorTable(d)
+    names = ("u", "v")[:1 if d == 2 else 2]
+    for name in names:
+        table.add_generator(name, 2)
+    gens = [table.gen(name) for name in names]
+    rows = [[table.zero()] * d for _ in range(d)]
+    for i in range(d):
+        for j in range(i + 1, d):
+            rows[i][j] = gens[(i + j) % len(gens)].scale((-1) ** (i * j))
+            rows[j][i] = -rows[i][j]
+    return CurvatureMatrix(table, d, FormMatrix(table, rows))
+
+
+@pytest.mark.parametrize("d", [2, 4, 6])
+def test_heat_element_is_the_two_point_kernel_at_the_origin(d):
+    R = _curvature(d)
+    for tau, formal in ((Fraction(1, 4), False), (1, False), (Fraction(3, 2), False),
+                        (None, True)):
+        full = mehler_kernel(tau, R, formal=formal)
+        want = GaussianKernel.assemble(R.table, d, full.norm, full.pi_pow,
+                                       full.prefactor, full.xx_block(), None, None)
+        assert heat_element(tau, R, formal=formal) == want
+
+
+def test_heat_element_skips_the_cross_term_series(curvature_d4, monkeypatch):
+    import chernloc.mehler as mh
+    _, R = curvature_d4
+    want = heat_element(1, R)
+
+    def refuse(n):
+        raise AssertionError("the X-Y series was evaluated")
+
+    monkeypatch.setattr(mh, "_zcsch_coeffs", refuse)
+    assert mh.heat_element(1, R) == want
+    with pytest.raises(AssertionError):
+        mh.mehler_kernel(1, R)
+
+
+@pytest.mark.parametrize("d", [2, 4, 6])
+def test_heat_equation_residual_is_a_symmetric_quadratic_form(d, monkeypatch):
+    import chernloc.mehler as mh
+    R = _curvature(d)
+    residual = mh.heat_equation_residual(R)
+    assert isinstance(residual, FormMatrix)
+    assert residual.shape == (2 * d + 1, 2 * d + 1)
+    assert residual.is_zero()
+    # the kernel for 2R against the operator for R: a nonzero, symmetric residual
+    kernel = mh.mehler_kernel
+    doubled = CurvatureMatrix(R.table, d, R.mat.scale(2))
+    monkeypatch.setattr(mh, "mehler_kernel",
+                        lambda tau, _R, formal=False: kernel(tau, doubled, formal))
+    wrong = mh.heat_equation_residual(R)
+    assert wrong.shape == (2 * d + 1, 2 * d + 1)
+    assert not wrong.is_zero()
+    assert wrong == wrong.transpose()
+
+
 # -- boundary supertrace --------------------------------------------------------------------------
 
 

@@ -272,6 +272,30 @@ def test_series_helpers():
     assert inverse_unit(f) * f == t.one()
 
 
+def test_inverse_of_a_float_unit_walks_only_the_nilpotent_powers(monkeypatch):
+    # 49.0 * (1 / 49.0) rounds to 1 - 2^-53; that residue must not stay in
+    # the nilpotent part, or the walk runs until its powers underflow
+    import chernloc.multiform as mf
+    t = simple_table()
+    u = t.gen("u")                     # u^2 != 0, u^3 = 0
+    f = t.scalar(49.0) + u
+    products = []
+    mul = mf.FormElement.__mul__
+
+    def counted(a, b):
+        products.append(1)
+        return mul(a, b)
+
+    monkeypatch.setattr(mf.FormElement, "__mul__", counted)
+    inv = inverse_unit(f)
+    assert len(products) == 3          # u, u^2 and the vanishing u^3
+    monkeypatch.undo()
+    assert inv.constant_term() == 1 / 49.0
+    assert set(inv.terms) == {(), *(u * u).terms, *u.terms}
+    residual = inv * f - t.one()
+    assert all(abs(c) < 1e-15 for c in residual.terms.values())
+
+
 def test_homogeneous_parts_and_degree():
     t = simple_table()
     s = t.sigma()
