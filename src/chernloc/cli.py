@@ -74,6 +74,8 @@ def _emit(report, ok):
 
 
 def cmd_check_bar(args):
+    if args.chains < 1:
+        raise ValueError(f"--chains must be at least 1, got {args.chains}")
     with open(args.table) as fh:
         table = GeneratorTable.from_text(fh.read())
     dga = check_dga(table)
@@ -174,6 +176,8 @@ def cmd_mehler(args):
         table.add_generator(name, 2)
     R = mehler.CurvatureMatrix.from_rows(table, doc["R"])
     taus = [Fraction(str(x)) for x in doc.get("taus", ["1/4", "1/2", "1"])]
+    if not taus:
+        raise ValueError("taus must not be empty, got []")
     kappa = mehler.solve_kappa_constant(R=R)
     semigroup_ok = True
     max_residual = 0.0

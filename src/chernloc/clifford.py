@@ -8,17 +8,19 @@ out the top coefficient with normalization (2/i)^(d/2), which is pinned by
 the matrix representation returned from :func:`spinor_representation` and,
 further downstream, by the flat-torus convergence checks.
 
-Coefficients may be plain scalars or elements of a commutative form algebra;
-they are treated as central.
+Coefficients are scalars only: exact ``QC`` or float ``complex``.  Basis
+blades are bitmasks, and the sign of a blade product is a popcount (the
+bitmap rule of Dorst, Fontijne and Mann, *Geometric Algebra for Computer
+Science*, ch. 19).
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
-from .multiform import SIGMA_ID, FormElement, GeneratorTable
+from .multiform import SIGMA_ID, FormElement, GeneratorTable, _add_term
 from .scalars import QC_ONE, QC_ZERO, coerce, iszero, two_over_i_pow
 
 
@@ -31,27 +33,15 @@ def exterior_table(d):
     return table
 
 
-def _popcount_above(mask, bit):
-    return bin(mask >> (bit + 1)).count("1")
-
-
-def blade_product(a_mask, b_mask):
-    """Product of basis blades: returns (mask, sign) under e_i^2 = -1."""
-    sign = 1
-    result = a_mask
-    b = b_mask
-    while b:
-        low = b & (-b)
-        bit = low.bit_length() - 1
-        if _popcount_above(result, bit) & 1:
-            sign = -sign
-        if result & low:
-            sign = -sign            # e_i e_i = -1
-            result &= ~low
-        else:
-            result |= low
-        b &= b - 1
-    return result, sign
+def blade_product(a, b):
+    """Product of basis blades: (a ^ b, sign) under e_i^2 = -1, the sign
+    counting shared generators and pairs with a's generator above b's."""
+    swaps = (a & b).bit_count()
+    above = a >> 1
+    while above:
+        swaps += (above & b).bit_count()
+        above >>= 1
+    return a ^ b, -1 if swaps & 1 else 1
 
 
 class CliffordElement:
@@ -61,19 +51,20 @@ class CliffordElement:
 
     def __init__(self, dim, terms=None):
         self.dim = int(dim)
-        data = {}
-        if terms:
-            for mask, c in terms.items():
-                if isinstance(c, FormElement):
-                    if not c.is_zero():
-                        data[int(mask)] = c
-                else:
-                    c = coerce(c)
-                    if not iszero(c):
-                        data[int(mask)] = c
-        self.terms = data
+        self.terms = {}
+        for mask, c in (terms or {}).items():
+            c = coerce(c)
+            if not iszero(c):
+                self.terms[int(mask)] = c
 
-    # -- constructors -----------------------------------------------
+    @classmethod
+    def _nonzero(cls, dim, terms):
+        """Wrap ``terms`` that hold no zero coefficient, without re-filtering."""
+        out = cls.__new__(cls)
+        out.dim = dim
+        out.terms = terms
+        return out
+
     @classmethod
     def zero(cls, dim):
         return cls(dim, {})
@@ -98,7 +89,6 @@ class CliffordElement:
             mask |= bit
         return cls(dim, {mask: coeff})
 
-    # -- structure ---------------------------------------------------
     def is_zero(self):
         return not self.terms
 
@@ -106,7 +96,7 @@ class CliffordElement:
         """Clifford order: the largest populated subset size (-1 if zero)."""
         if not self.terms:
             return -1
-        return max(bin(m).count("1") for m in self.terms)
+        return max(m.bit_count() for m in self.terms)
 
     def _check(self, other):
         if self.dim != other.dim:
@@ -114,52 +104,39 @@ class CliffordElement:
 
     def __add__(self, other):
         if not isinstance(other, CliffordElement):
-            return self + CliffordElement(self.dim, {0: other})
+            return NotImplemented
         self._check(other)
         out = dict(self.terms)
         for m, c in other.terms.items():
-            s = out.get(m, 0) + c
-            dead = s.is_zero() if isinstance(s, FormElement) else iszero(s)
-            if dead:
-                out.pop(m, None)
-            else:
-                out[m] = s
-        return CliffordElement(self.dim, out)
-
-    __radd__ = __add__
+            _add_term(out, m, c)
+        return CliffordElement._nonzero(self.dim, out)
 
     def __neg__(self):
-        return CliffordElement(self.dim, {m: -c for m, c in self.terms.items()})
+        return CliffordElement._nonzero(self.dim, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
         if not isinstance(other, CliffordElement):
-            other = CliffordElement(self.dim, {0: other})
-        return self + (-other)
+            return NotImplemented
+        self._check(other)
+        out = dict(self.terms)
+        for m, c in other.terms.items():
+            _add_term(out, m, -c)
+        return CliffordElement._nonzero(self.dim, out)
 
     def scale(self, c):
-        return CliffordElement(self.dim, {m: _cmul(c, v) for m, v in self.terms.items()})
+        return CliffordElement(self.dim, {m: c * v for m, v in self.terms.items()})
 
     def __mul__(self, other):
         if not isinstance(other, CliffordElement):
-            return self.scale(other)
+            return NotImplemented
         self._check(other)
         out = {}
         for ma, ca in self.terms.items():
             for mb, cb in other.terms.items():
                 mask, sign = blade_product(ma, mb)
-                c = _cmul(ca, cb)
-                if sign < 0:
-                    c = -c
-                s = out.get(mask, 0) + c
-                dead = s.is_zero() if isinstance(s, FormElement) else iszero(s)
-                if dead:
-                    out.pop(mask, None)
-                else:
-                    out[mask] = s
-        return CliffordElement(self.dim, out)
-
-    def __rmul__(self, other):
-        return self.scale(other)
+                c = ca * cb
+                _add_term(out, mask, c if sign > 0 else -c)
+        return CliffordElement._nonzero(self.dim, out)
 
     def __eq__(self, other):
         if isinstance(other, CliffordElement):
@@ -171,45 +148,25 @@ class CliffordElement:
     def __hash__(self):
         return hash((self.dim, tuple(sorted(self.terms.items(), key=lambda kv: kv[0]))))
 
-    def parity(self):
-        pars = {bin(m).count("1") & 1 for m in self.terms}
-        if len(pars) > 1:
-            raise ValueError("mixed parity")
-        return pars.pop() if pars else None
-
-    # -- printing -------------------------------------------------------
     def __str__(self):
-        if not self.terms:
-            return "0"
         parts = []
-        for mask in sorted(self.terms, key=lambda m: (bin(m).count("1"), m)):
-            idx = [str(i + 1) for i in range(self.dim) if mask & (1 << i)]
-            blade = "1" if not idx else "e{" + ",".join(idx) + "}"
-            parts.append(f"{self.terms[mask]} * {blade}" if idx else str(self.terms[mask]))
-        return " + ".join(parts)
+        for mask in sorted(self.terms, key=lambda m: (m.bit_count(), m)):
+            idx = ",".join(str(i + 1) for i in range(self.dim) if mask >> i & 1)
+            parts.append(f"{self.terms[mask]} * e{{{idx}}}" if idx else str(self.terms[mask]))
+        return " + ".join(parts) or "0"
 
     __repr__ = __str__
-
-
-def _cmul(a, b):
-    if isinstance(a, FormElement) and not isinstance(b, FormElement):
-        return a.scale(b)
-    if isinstance(b, FormElement) and not isinstance(a, FormElement):
-        return b.scale(a)
-    return a * b
 
 
 # -- quantization map and symbols -------------------------------------------------
 
 
-def quantize(omega, dim=None):
+def quantize(omega):
     """Linear map sending a wedge monomial of distinct degree-one generators
     to the Clifford product of the same generators."""
     table = omega.table
-    if dim is None:
-        dim = sum(1 for n in table.names if n != "sigma")
-    out = CliffordElement.zero(dim)
-    acc = {}
+    dim = sum(1 for n in table.names if n != "sigma")
+    masks = {}
     for mono, coeff in omega.terms.items():
         if SIGMA_ID in mono:
             raise ValueError("cannot quantize an element containing sigma")
@@ -221,26 +178,21 @@ def quantize(omega, dim=None):
             if mask & bit:
                 raise ValueError("repeated generator in monomial")
             mask |= bit
-        acc[mask] = acc.get(mask, 0) + coeff
-    return CliffordElement(dim, acc) + out
+        masks[mask] = coeff
+    return CliffordElement(dim, masks)
 
 
-def symbol(a, k=None, table=None):
+def symbol(a, k=None):
     """Clifford symbol: inverse image under quantization.
 
     With ``k`` given, returns only the k-form component; otherwise the full
     symbol.  Components above the Clifford order vanish.
     """
-    if table is None:
-        table = exterior_table(a.dim)
-    out = table.zero()
-    for mask, coeff in a.terms.items():
-        size = bin(mask).count("1")
-        if k is not None and size != k:
-            continue
-        mono = tuple(i + 1 for i in range(a.dim) if mask & (1 << i))
-        out += FormElement(table, {mono: QC_ONE}).scale(coeff)
-    return out
+    bits = range(a.dim)
+    return FormElement._nonzero(exterior_table(a.dim), {
+        tuple(i + 1 for i in bits if mask >> i & 1): coeff
+        for mask, coeff in a.terms.items()
+        if k is None or mask.bit_count() == k})
 
 
 def berezin_str(a):
@@ -248,11 +200,7 @@ def berezin_str(a):
     if a.dim % 2:
         raise ValueError("supertrace needs even dimension")
     top = (1 << a.dim) - 1
-    coeff = a.terms.get(top, QC_ZERO)
-    scale = two_over_i_pow(a.dim)
-    if isinstance(coeff, FormElement):
-        return coeff.scale(scale)
-    return scale * coeff
+    return two_over_i_pow(a.dim) * a.terms.get(top, QC_ZERO)
 
 
 # -- matrix representation (cross-check oracle) ----------------------------------------
@@ -271,37 +219,20 @@ def spinor_representation(d):
     s1 = np.array([[0, 1], [1, 0]], dtype=complex)
     s2 = np.array([[0, -1j], [1j, 0]], dtype=complex)
     s3 = np.array([[1, 0], [0, -1]], dtype=complex)
-    eye = np.eye(2, dtype=complex)
-
-    def kron_chain(mats):
-        out = np.array([[1.0 + 0j]])
-        for M in mats:
-            out = np.kron(out, M)
-        return out
-
-    hermitian = []
-    for k in range(1, m + 1):
-        pre = [s3] * (k - 1)
-        post = [eye] * (m - k)
-        hermitian.append(kron_chain(pre + [s1] + post))
-        hermitian.append(kron_chain(pre + [s2] + post))
-    gammas = [1j * h for h in hermitian]
+    eye, one = np.eye(2, dtype=complex), np.array([[1.0 + 0j]])
+    gammas = [1j * reduce(np.kron, [s3] * (k - 1) + [s] + [eye] * (m - k), one)
+              for k in range(1, m + 1) for s in (s1, s2)]
     grading = (1j) ** m * np.linalg.multi_dot(gammas) if len(gammas) > 1 else 1j * gammas[0]
     grading = np.round(grading.real, 12) + 1j * np.round(grading.imag, 12)
     return tuple(gammas), grading
 
 
-def represent(a, rep=None):
-    """Matrix image of a Clifford element with scalar coefficients."""
-    gammas, _ = rep or spinor_representation(a.dim)
+def represent(a):
+    """Matrix image of a Clifford element."""
+    gammas, _ = spinor_representation(a.dim)
     n = gammas[0].shape[0]
     out = np.zeros((n, n), dtype=complex)
     for mask, coeff in a.terms.items():
-        if isinstance(coeff, FormElement):
-            raise TypeError("matrix representation needs scalar coefficients")
-        M = np.eye(n, dtype=complex)
-        for i in range(a.dim):
-            if mask & (1 << i):
-                M = M @ gammas[i]
-        out += complex(coeff) * M
+        blade = (gammas[i] for i in range(a.dim) if mask >> i & 1)
+        out += complex(coeff) * reduce(np.matmul, blade, np.eye(n, dtype=complex))
     return out

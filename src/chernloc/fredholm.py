@@ -527,6 +527,8 @@ def bismut_chern(p, n_max):
     Entries are index-expanded into scalar words.  Truncation is automatic
     once R vanishes; otherwise the series is cut at ``n_max``.
     """
+    if n_max < 0:
+        raise ValueError(f"n_max must be at least 0, got {n_max}")
     return BarChain.from_words(p.table, (
         pair for coeff, word in bismut_words(p, n_max)
         for pair in _trace_words(word, coeff)))

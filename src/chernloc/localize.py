@@ -21,9 +21,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import factorial
 
-from .mehler import CurvatureMatrix, a_hat, heat_element, str_zero
+from .mehler import (CurvatureMatrix, a_hat, coefficient_gap, heat_element,
+                     str_zero)
 from .multiform import FormElement
-from .scalars import PiScalar, QC, two_pi_i_inv_pow
+from .scalars import QC, two_pi_i_inv_pow
 
 
 def symbol_of_F(*thetas):
@@ -142,6 +143,9 @@ def limit_theorem_check(d, R, word):
     equality where the inputs are exact and the maximal coefficient
     residual otherwise.
     """
+    if d != R.d:
+        raise ValueError(f"fiber dimension {d} does not match the "
+                         f"{R.d} x {R.d} curvature matrix")
     table = R.table
     lhs = table.zero()
     patterns = 0
@@ -166,15 +170,8 @@ def limit_theorem_check(d, R, word):
     exact = lhs == rhs
     residual = 0.0
     if not exact:
-        keys = set(lhs.terms) | set(rhs.terms)
-        for kmono in keys:
-            a = lhs.terms.get(kmono, QC(0))
-            bb = rhs.terms.get(kmono, QC(0))
-            da = complex(a.evalf() if isinstance(a, PiScalar) else complex(a))
-            db = complex(bb.evalf() if isinstance(bb, PiScalar) else complex(bb))
-            residual = max(residual, abs(da - db))
-        if residual == 0.0:
-            exact = True
+        residual = coefficient_gap(lhs, rhs)
+        exact = residual == 0.0
     return LocalizationReport(d, len(word), lhs, rhs, exact, residual,
                               patterns, zeros_ok)
 

@@ -37,8 +37,8 @@ from fractions import Fraction
 from .formmatrix import FormMatrix, mat_powers, power_sum
 from .multiform import (FormElement, GeneratorTable, exp_nilpotent,
                         inverse_unit, log_one_plus)
-from .scalars import (QC, PiScalar, TauPoly, bernoulli_numbers, coerce,
-                      two_over_i_pow)
+from .scalars import (QC, QC_ZERO, PiScalar, TauPoly, bernoulli_numbers,
+                      coerce, two_over_i_pow)
 
 KAPPA_COEFF = Fraction(-1, 2)
 
@@ -52,6 +52,9 @@ class CurvatureMatrix:
     mat: FormMatrix
 
     def __post_init__(self):
+        if self.d != self.table.top_degree:
+            raise ValueError(f"curvature matrix is {self.d} x {self.d} but the "
+                             f"table's top degree is {self.table.top_degree}")
         if self.mat.shape != (self.d, self.d):
             raise ValueError("curvature matrix has wrong shape")
         if not self.mat.is_antisymmetric():
@@ -479,6 +482,14 @@ def solve_kappa_constant(tau=Fraction(1, 2), R=None):
     return c
 
 
+def coefficient_gap(f, g):
+    """Largest |f_m - g_m| over the monomials of two forms after numeric
+    evaluation (0.0 when they are equal)."""
+    ft, gt = f.terms, g.terms
+    return max((abs(complex(ft.get(m, QC_ZERO)) - complex(gt.get(m, QC_ZERO)))
+                for m in ft.keys() | gt.keys()), default=0.0)
+
+
 def kernel_max_residual(a, b):
     """Largest coefficient deviation between two kernels (0.0 when equal).
 
@@ -487,27 +498,11 @@ def kernel_max_residual(a, b):
     """
     if a.pi_pow != b.pi_pow or a.d != b.d:
         return float("inf")
-    worst = abs(complex(_num(a.norm)) - complex(_num(b.norm)))
-
-    def form_delta(f, g):
-        out = 0.0
-        for mono in set(f.terms) | set(g.terms):
-            ca = f.terms.get(mono, QC(0))
-            cb = g.terms.get(mono, QC(0))
-            out = max(out, abs(complex(_num(ca)) - complex(_num(cb))))
-        return out
-
-    worst = max(worst, form_delta(a.prefactor, b.prefactor))
-    for i in range(2 * a.d):
-        for j in range(2 * a.d):
-            worst = max(worst, form_delta(a.quad[i, j], b.quad[i, j]))
-    return worst
-
-
-def _num(x):
-    if isinstance(x, TauPoly):
-        raise TypeError("cannot reduce a formal time parameter to a number")
-    return complex(x)
+    n = 2 * a.d
+    return max(abs(complex(a.norm) - complex(b.norm)),
+               coefficient_gap(a.prefactor, b.prefactor),
+               *(coefficient_gap(a.quad[i, j], b.quad[i, j])
+                 for i in range(n) for j in range(n)))
 
 
 def str_zero(x):

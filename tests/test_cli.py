@@ -319,3 +319,59 @@ def test_flat_curvature_in_mehler_is_a_json_error(tmp_path, capsys):
     assert code == 2
     assert doc == {"ok": False,
                    "error": "ArithmeticError: degenerate curvature; cannot solve"}
+
+
+def test_negative_n_max_is_a_json_error(tmp_path, capsys):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(_model_doc()))
+    code, doc = run_cli(capsys, ["bismut-chern", str(path), "--n-max", "-1"])
+    assert code == 2
+    assert doc == {"ok": False, "error": "ValueError: n_max must be at least 0, got -1"}
+
+
+def test_no_chains_is_a_json_error(table_file, capsys):
+    code, doc = run_cli(capsys, ["check-bar", str(table_file), "--chains", "-3"])
+    assert code == 2
+    assert doc == {"ok": False, "error": "ValueError: --chains must be at least 1, got -3"}
+
+
+def test_empty_taus_is_a_json_error(tmp_path, capsys):
+    path = tmp_path / "mehler.json"
+    path.write_text(json.dumps({
+        "d": 2,
+        "generators": ["w"],
+        "R": [["0", "w"], ["-w", "0"]],
+        "taus": [],
+    }))
+    code, doc = run_cli(capsys, ["mehler", str(path)])
+    assert code == 2
+    assert doc == {"ok": False, "error": "ValueError: taus must not be empty, got []"}
+
+
+R4 = [["0", "u", "0", "v"],
+      ["-u", "0", "v", "0"],
+      ["0", "-v", "0", "u"],
+      ["-v", "0", "-u", "0"]]
+
+
+@pytest.mark.parametrize("command", ["mehler", "localize"])
+def test_fiber_dimension_other_than_R_is_a_json_error(tmp_path, capsys, command):
+    path = tmp_path / "case.json"
+    path.write_text(json.dumps({"d": 6, "generators": ["u", "v"], "R": R4}))
+    code, doc = run_cli(capsys, [command, str(path)])
+    assert code == 2
+    assert doc == {"ok": False, "error": "ValueError: curvature matrix is 4 x 4 "
+                                         "but the table's top degree is 6"}
+
+
+def test_localize_fiber_dimension_other_than_the_table_is_a_json_error(tmp_path, capsys):
+    path = tmp_path / "case.json"
+    path.write_text(json.dumps({
+        "d": 6,
+        "table": {"top_degree": 4, "generators": [["u", 2, "0"], ["v", 2, "0"]]},
+        "R": R4,
+    }))
+    code, doc = run_cli(capsys, ["localize", str(path)])
+    assert code == 2
+    assert doc == {"ok": False, "error": "ValueError: fiber dimension 6 does not "
+                                         "match the 4 x 4 curvature matrix"}

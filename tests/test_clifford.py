@@ -3,11 +3,13 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from chernloc.clifford import (CliffordElement, berezin_str, blade_product,
                                exterior_table, quantize, represent,
                                spinor_representation, symbol)
-from chernloc.scalars import QC, two_over_i_pow
+from chernloc.scalars import QC, iszero, two_over_i_pow
 
 
 def basis_form(table, indices):
@@ -56,6 +58,17 @@ def test_blade_product_against_brute_force():
                 seq, bsign = brute_blade_product(a, b)
                 assert mask == sum(1 << (i - 1) for i in seq)
                 assert sign == bsign
+
+
+def test_blade_product_against_spinor_matrices():
+    # rho(e_a) rho(e_b) = sign rho(e_{a ^ b}) for every pair of blades
+    for d in (2, 4, 6):
+        blades = [represent(CliffordElement(d, {m: 1})) for m in range(1 << d)]
+        for a in range(1 << d):
+            for b in range(1 << d):
+                mask, sign = blade_product(a, b)
+                assert mask == a ^ b
+                assert np.array_equal(blades[a] @ blades[b], sign * blades[mask])
 
 
 def test_generator_squares_to_minus_one():
@@ -189,7 +202,7 @@ def test_quantize_rejects_higher_degree_generators():
     t = GeneratorTable(4)
     t.add_generator("u", 2)
     with pytest.raises(ValueError):
-        quantize(t.gen("u"), dim=4)
+        quantize(t.gen("u"))
 
 
 def test_canonical_serialization_golden():
@@ -197,3 +210,39 @@ def test_canonical_serialization_golden():
         CliffordElement.one(4).scale(QC(0, -1))
     assert str(a) == "-i + 2 * e{1,3}"
     assert str(CliffordElement.zero(2)) == "0"
+
+
+# exact coefficients that collide and cancel, and floats whose products
+# underflow to 0.0
+exact_or_float = st.one_of(
+    st.builds(QC, st.fractions(max_denominator=4), st.fractions(max_denominator=4)),
+    st.sampled_from([1e-200, -1e-200, 1e-300, 0.5, -0.5]).map(complex),
+    st.floats(-4, 4).map(complex))
+blade_terms = st.lists(st.tuples(st.integers(0, 15), exact_or_float), max_size=5)
+
+
+@given(blade_terms, blade_terms, exact_or_float)
+@example([(1, 1e-200)], [(2, 1e-200)], 1.0)                # x * y underflows
+@example([(1, QC(1)), (2, 0.5)], [(1, QC(-1)), (2, -0.5)], QC(0))  # x + y cancels
+@example([(3, 1e-200)], [(3, 1e-200)], 1e-200)             # x - y, scale underflow
+def test_arithmetic_results_hold_no_zero_coefficient(a, b, c):
+    x = CliffordElement.zero(4)
+    y = CliffordElement.zero(4)
+    for mask, coeff in a:
+        x = x + CliffordElement(4, {mask: coeff})
+    for mask, coeff in b:
+        y = y + CliffordElement(4, {mask: coeff})
+    for h in (x + y, x - y, y - x, x * y, y * x, -x, x.scale(c), (x * y).scale(c)):
+        assert not any(iszero(v) for v in h.terms.values())
+
+
+def test_non_clifford_operand_rejected():
+    a = CliffordElement.generator(2, 1)
+    form = exterior_table(2).gen("e1")
+    ops = (lambda p, q: p + q, lambda p, q: p - q, lambda p, q: p * q)
+    for other in (1, QC(2), 0.5j, form):
+        for op in ops:
+            with pytest.raises(TypeError):
+                op(a, other)
+            with pytest.raises(TypeError):
+                op(other, a)

@@ -140,3 +140,32 @@ def test_limit_theorem_random_suite():
                     nontrivial += 1
     assert checked >= 16
     assert nontrivial >= 3
+
+
+def test_limit_theorem_float_words_at_d6_take_the_residual_branch():
+    # float coefficients with six decimals round differently on the two
+    # sides at d = 6, so the report falls back to the coefficient gap
+    rng = random.Random(6)
+    table = GeneratorTable(6)
+    table.add_generator("u", 2)
+    table.add_generator("v", 2)
+    R = random_antisymmetric_curvature(table, 6, rng, density=1.0)
+    s, u = table.sigma(), table.gen("u")
+    inexact = 0
+    for _ in range(12):
+        c1, c2 = (round(rng.uniform(-1, 1), 6) for _ in range(2))
+        rep = limit_theorem_check(6, R, ((s * u).scale(c1), s.scale(c2)))
+        assert rep.ok
+        assert rep.residual <= 1e-18
+        if rep.lhs != rep.rhs:
+            inexact += 1
+            assert not rep.exact_equal
+            assert rep.residual > 0.0
+    assert inexact >= 1
+
+
+def test_limit_theorem_rejects_a_fiber_dimension_other_than_R(curvature_d4):
+    _, R = curvature_d4
+    with pytest.raises(ValueError, match="fiber dimension 6 does not match "
+                                         "the 4 x 4 curvature matrix"):
+        limit_theorem_check(6, R, ())

@@ -8,8 +8,9 @@ from chernloc.formmatrix import FormMatrix, det_leibniz
 from chernloc.mehler import (KAPPA_COEFF, CurvatureMatrix, GaussianKernel,
                              a_hat, gaussian_integral, heat_element,
                              heat_equation_residual, kappa_form,
-                             mehler_kernel, solve_kappa_constant, str_zero,
-                             twist_factor, twisted_convolve)
+                             kernel_max_residual, mehler_kernel,
+                             solve_kappa_constant, str_zero, twist_factor,
+                             twisted_convolve)
 from chernloc.multiform import GeneratorTable
 from chernloc.scalars import (QC, PiScalar, TauPoly, is_exact, two_over_i_pow,
                               two_pi_i_inv_pow)
@@ -456,3 +457,19 @@ def test_gaussian_outputs_stay_exact():
         for K in kernels:
             for c in _kernel_coefficients(K):
                 assert is_exact(c), (d, K, c)
+
+
+def test_kernel_max_residual(curvature_d4):
+    _, R = curvature_d4
+    quarter = heat_element(Fraction(1, 4), R)
+    assert kernel_max_residual(quarter, heat_element(Fraction(1, 4), R)) == 0.0
+    assert kernel_max_residual(quarter, heat_element(Fraction(1, 2), R)) > 0.0
+
+
+def test_curvature_matrix_rejects_a_dimension_other_than_the_top_degree():
+    big = GeneratorTable(6)
+    big.add_generator("u", 2)
+    with pytest.raises(ValueError, match="curvature matrix is 4 x 4 but the "
+                                         "table's top degree is 6"):
+        CurvatureMatrix.from_rows(big, [["0", "u", "0", "0"], ["-u", "0", "0", "0"],
+                                        ["0", "0", "0", "u"], ["0", "0", "-u", "0"]])
