@@ -163,17 +163,18 @@ class CliffordElement:
 
 def quantize(omega):
     """Linear map sending a wedge monomial of distinct degree-one generators
-    to the Clifford product of the same generators."""
+    to the Clifford product of the same generators.  The table must hold
+    degree-one generators only: generator k is the Clifford generator e_k."""
     table = omega.table
-    dim = sum(1 for n in table.names if n != "sigma")
+    dim = len(table.names) - 1
+    if any(table.degree_of(g) != 1 for g in range(1, dim + 1)):
+        raise ValueError("quantization needs a table of degree-one generators only")
     masks = {}
     for mono, coeff in omega.terms.items():
         if SIGMA_ID in mono:
             raise ValueError("cannot quantize an element containing sigma")
         mask = 0
         for g in mono:
-            if table.degree_of(g) != 1:
-                raise ValueError("quantization needs degree-one generators only")
             bit = 1 << (g - 1)
             if mask & bit:
                 raise ValueError("repeated generator in monomial")

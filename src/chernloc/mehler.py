@@ -3,9 +3,12 @@
 The model fiber is R^d with an antisymmetric matrix R of even nilpotent
 2-forms.  The matrix functions of R (sinh(z)/z, z coth z, z csch z, exp)
 are coefficient lists summed over one list of powers [I, M, M^2, ...],
-which ends because the form algebra is nilpotent.  Determinants and
-inverses of Gaussian data come from one Gauss-Jordan elimination over the
-commutative local ring of even forms, whose pivots also test that the
+which ends because the form algebra is nilpotent.  A Gaussian kernel holds
+its quadratic form as d x d blocks (X-X, and for a two-point kernel X-Y and
+Y-Y).  Determinants and solves of Gaussian data come from one Gauss-Jordan
+elimination over the commutative local ring of even forms: it returns the
+determinant and M^-1 B for the right-hand side B its caller reads (none
+when only the determinant is needed), and its pivots also test that the
 numeric part is positive definite (Sylvester's criterion).
 
 Main objects:
@@ -59,11 +62,13 @@ class CurvatureMatrix:
             raise ValueError("curvature matrix has wrong shape")
         if not self.mat.is_antisymmetric():
             raise ValueError("curvature matrix must be antisymmetric")
-        for row in self.mat.rows:
-            for e in row:
-                for mono in e.terms:
-                    if self.table.mono_degree(mono) % 2:
-                        raise ValueError("curvature entries must be even forms")
+        for i, row in enumerate(self.mat.rows):
+            for j, e in enumerate(row):
+                if () in e.terms:
+                    raise ValueError(f"curvature entry ({i}, {j}) = {e} has a "
+                                     "constant term, so it is not nilpotent")
+                if any(self.table.mono_degree(mono) % 2 for mono in e.terms):
+                    raise ValueError("curvature entries must be even forms")
 
     @classmethod
     def zero(cls, table, d):
@@ -79,41 +84,6 @@ class CurvatureMatrix:
 
     def is_zero(self):
         return self.mat.is_zero()
-
-
-# -- scalar helpers -----------------------------------------------------------------
-
-
-def _inv_scalar(tau):
-    if isinstance(tau, TauPoly):
-        if len(tau.coeffs) != 1:
-            raise ValueError("can only invert tau-monomials")
-        (k, v), = tau.coeffs.items()
-        return TauPoly({-k: v.inverse()})
-    if isinstance(tau, QC):
-        return tau.inverse()
-    return 1.0 / tau
-
-
-def _scalar_pow(tau, k):
-    if k >= 0:
-        out = tau
-        for _ in range(k - 1):
-            out = out * tau
-        return out if k else (TauPoly.const(1) if isinstance(tau, TauPoly) else QC(1))
-    inv = _inv_scalar(tau)
-    return _scalar_pow(inv, -k)
-
-
-def _qc_sqrt(x):
-    """Exact square root of a nonnegative rational QC, else None."""
-    if not isinstance(x, QC) or x.im_num or x.re_num < 0:
-        return None
-    num, den = x.re_num, x.den
-    rn, rd = math.isqrt(num), math.isqrt(den)
-    if rn * rn == num and rd * rd == den:
-        return QC(Fraction(rn, rd))
-    return None
 
 
 # -- power series over one power list ------------------------------------------------
@@ -171,26 +141,28 @@ def a_hat(R):
     return exp_nilpotent(_mat_log_trace(S).scale(Fraction(-1, 2)))
 
 
-# -- determinant and inverse by one elimination -----------------------------------------
+# -- determinant and solve by one elimination -------------------------------------------
 
 
-def _eliminate(mat):
-    """(det, inverse) of a square matrix of even forms.
+def _eliminate(mat, rhs):
+    """(det mat, mat^-1 rhs) for a square matrix of even forms.
 
-    Gauss-Jordan without row exchanges over the commutative local ring of
-    even forms; each pivot is inverted with :func:`inverse_unit`.  The
-    constant terms of the pivots are ratios of leading principal minors of
-    the numeric part, so requiring each to be real and positive is
-    Sylvester's criterion: a Gaussian form whose numeric part is not
-    positive definite raises ValueError.  An exact (QC) pivot is tested
-    exactly, at any magnitude; an inexact one to a relative 1e-12.
+    ``rhs`` has as many rows as ``mat`` and any number of columns, none
+    when only the determinant is read.  Gauss-Jordan on [mat | rhs] without
+    row exchanges over the commutative local ring of even forms; each pivot
+    is inverted with :func:`inverse_unit`, and a step touches only the
+    columns right of its pivot, the only ones read later.  The constant
+    terms of the pivots are ratios of leading principal minors of the
+    numeric part, so requiring each to be real and positive is Sylvester's
+    criterion: a Gaussian form whose numeric part is not positive definite
+    raises ValueError.  An exact (QC) pivot is tested exactly, at any
+    magnitude; an inexact one to a relative 1e-12.
     """
-    table = mat.table
     n = mat.shape[0]
-    one, zero = table.one(), table.zero()
-    rows = [list(row) + [one if i == j else zero for j in range(n)]
-            for i, row in enumerate(mat.rows)]
-    det = one
+    if rhs.shape[0] != n:
+        raise ValueError("right-hand side must have as many rows as the matrix")
+    rows = [list(a) + list(b) for a, b in zip(mat.rows, rhs.rows)]
+    det = mat.table.one()
     for col in range(n):
         pivot = rows[col][col]
         c0 = pivot.constant_term()
@@ -204,12 +176,24 @@ def _eliminate(mat):
                              "positive definite")
         det = det * pivot
         inv = inverse_unit(pivot)
-        rows[col] = [inv * x for x in rows[col]]
+        right = [inv * x for x in rows[col][col + 1:]]
+        rows[col][col + 1:] = right
         for r in range(n):
             f = rows[r][col]
             if r != col and not f.is_zero():
-                rows[r] = [x - f * y for x, y in zip(rows[r], rows[col])]
-    return det, FormMatrix(table, [row[n:] for row in rows])
+                rows[r][col + 1:] = [x - f * y for x, y in zip(rows[r][col + 1:], right)]
+    return det, FormMatrix(mat.table, [row[n:] for row in rows])
+
+
+def _qc_sqrt(x):
+    """Exact square root of a nonnegative rational QC, else None."""
+    if not isinstance(x, QC) or x.im_num or x.re_num < 0:
+        return None
+    num, den = x.re_num, x.den
+    rn, rd = math.isqrt(num), math.isqrt(den)
+    if rn * rn == num and rd * rd == den:
+        return QC(Fraction(rn, rd))
+    return None
 
 
 def _det_invsqrt(det):
@@ -228,18 +212,16 @@ def gaussian_integral(mat_rows, b):
 
     ``mat_rows`` is a numeric symmetric positive-definite matrix (entries
     exact or float), ``b`` a numeric vector.  Runs through the same
-    elimination as the twisted convolution; returns a complex number
-    (2 pi)^(n/2) det(M)^(-1/2) exp(1/2 b^T M^-1 b).
+    elimination as the twisted convolution, solving for b as a column;
+    returns a complex number (2 pi)^(n/2) det(M)^(-1/2) exp(1/2 b^T M^-1 b).
     """
     n = len(b)
-    M = FormMatrix.from_scalars(GeneratorTable(2), mat_rows)
-    det, inv = _eliminate(M)
+    table = GeneratorTable(2)
+    det, solved = _eliminate(FormMatrix.from_scalars(table, mat_rows),
+                             FormMatrix.from_scalars(table, [[x] for x in b]))
     scalar, _ = _det_invsqrt(det)
-    quad = 0j
-    for i in range(n):
-        for j in range(n):
-            quad += complex(coerce(b[i]) * inv[i, j].constant_term()
-                            * coerce(b[j]))
+    quad = sum((complex(coerce(x) * solved[i, 0].constant_term())
+                for i, x in enumerate(b)), 0j)
     return complex(scalar) * cmath.exp(0.5 * quad) * (2 * math.pi) ** (n / 2)
 
 
@@ -249,93 +231,61 @@ def gaussian_integral(mat_rows, b):
 class GaussianKernel:
     """norm * pi^pi_pow * prefactor * exp(-1/2 (X,Y)^T Q (X,Y)).
 
-    ``quad`` is the symmetric 2d x 2d matrix Q with FormElement entries
-    whose constant parts are the numeric Gaussian data.  The prefactor is a
-    form, constant in X and Y.
+    Q = [[xx, xy], [xy^T, yy]] is held as its d x d FormMatrix blocks, whose
+    constant parts are the numeric Gaussian data.  A one-variable kernel
+    f(X) has ``xy`` and ``yy`` None.  The prefactor is a form, constant in
+    X and Y.
     """
 
-    __slots__ = ("table", "d", "norm", "pi_pow", "prefactor", "quad")
+    __slots__ = ("table", "d", "norm", "pi_pow", "prefactor", "xx", "xy", "yy")
 
-    def __init__(self, table, d, norm, pi_pow, prefactor, quad):
+    def __init__(self, table, d, norm, pi_pow, prefactor, xx, xy=None, yy=None):
+        if (xy is None) != (yy is None):
+            raise ValueError("a two-variable kernel needs its X-Y and Y-Y blocks")
+        if any(b is not None and b.shape != (d, d) for b in (xx, xy, yy)):
+            raise ValueError("kernel blocks must be d x d")
         self.table = table
         self.d = d
         self.norm = norm
         self.pi_pow = int(pi_pow)
         self.prefactor = prefactor
-        self.quad = quad
-        if quad.shape != (2 * d, 2 * d):
-            raise ValueError("quadratic form must be (2d) x (2d)")
-
-    # -- block access ------------------------------------------------------
-    def _block(self, r0, c0):
-        d = self.d
-        return FormMatrix(self.table,
-                          [[self.quad[r0 + i, c0 + j] for j in range(d)]
-                           for i in range(d)])
-
-    def xx_block(self):
-        return self._block(0, 0)
-
-    def xy_block(self):
-        return self._block(0, self.d)
-
-    def yy_block(self):
-        return self._block(self.d, self.d)
+        self.xx = xx
+        self.xy = xy
+        self.yy = yy
 
     @property
     def is_one_variable(self):
-        d = self.d
-        for i in range(2 * d):
-            for j in range(d, 2 * d):
-                if not self.quad[i, j].is_zero():
-                    return False
-                if not self.quad[j, i].is_zero():
-                    return False
-        return True
-
-    # -- builders -------------------------------------------------------------
-    @classmethod
-    def assemble(cls, table, d, norm, pi_pow, prefactor, xx, xy, yy):
-        z = FormMatrix.zero(table, d)
-        xx = xx or z
-        xy = xy or z
-        yy = yy or z
-        yx = xy.transpose()
-        rows = []
-        for i in range(d):
-            rows.append(list(xx.rows[i]) + list(xy.rows[i]))
-        for i in range(d):
-            rows.append(list(yx.rows[i]) + list(yy.rows[i]))
-        return cls(table, d, norm, pi_pow, prefactor, FormMatrix(table, rows))
+        return self.xy is None
 
     def scale_prefactor(self, form):
         return GaussianKernel(self.table, self.d, self.norm, self.pi_pow,
-                              form * self.prefactor, self.quad)
+                              form * self.prefactor, self.xx, self.xy, self.yy)
 
     def mul(self, other):
-        """Pointwise product of kernels over the same variables."""
+        """Pointwise product of two-variable kernels over the same variables."""
         if other.table is not self.table or other.d != self.d:
             raise ValueError("kernel mismatch")
+        if self.is_one_variable or other.is_one_variable:
+            raise ValueError("kernel product needs two-variable kernels")
         return GaussianKernel(self.table, self.d, self.norm * other.norm,
-                              self.pi_pow + other.pi_pow,
-                              self.prefactor * other.prefactor,
-                              self.quad + other.quad)
+                              self.pi_pow + other.pi_pow, self.prefactor * other.prefactor,
+                              self.xx + other.xx, self.xy + other.xy, self.yy + other.yy)
 
     def shift_to_difference(self):
         """One-variable f(X) viewed as the two-variable kernel f(X - Y)."""
         if not self.is_one_variable:
             raise ValueError("kernel must be one-variable")
-        A = self.xx_block()
-        return GaussianKernel.assemble(self.table, self.d, self.norm,
-                                       self.pi_pow, self.prefactor,
-                                       A, -A, A)
+        A = self.xx
+        return GaussianKernel(self.table, self.d, self.norm, self.pi_pow,
+                              self.prefactor, A, -A, A)
 
     def __eq__(self, other):
         if not isinstance(other, GaussianKernel):
             return NotImplemented
         return (self.table is other.table and self.d == other.d
                 and self.pi_pow == other.pi_pow and self.norm == other.norm
-                and self.prefactor == other.prefactor and self.quad == other.quad)
+                and self.prefactor == other.prefactor and self.xx == other.xx
+                and self.xy == other.xy and self.yy == other.yy)
 
     def __repr__(self):
         return (f"<GaussianKernel d={self.d} norm={self.norm} "
@@ -356,11 +306,12 @@ def _kernel_parts(tau, R, formal):
     half = QC(Fraction(1, 2))
     powers = mat_powers(R.mat.scale(tau * half))
     n = len(powers)
-    inv_tau = _inv_scalar(tau)
+    inv_tau = tau ** -1
     xx = power_sum(powers, _zcoth_coeffs(n)).scale(inv_tau * half)
-    det, _ = _eliminate(power_sum(powers, _sinhc_coeffs(n)))
+    det, _ = _eliminate(power_sum(powers, _sinhc_coeffs(n)),
+                        FormMatrix.zero(R.table, d, 0))
     scalar, prefactor = _det_invsqrt(det)
-    norm = scalar * QC(Fraction(1, 4 ** (d // 2))) * _scalar_pow(tau, -(d // 2))
+    norm = scalar * QC(Fraction(1, 4 ** (d // 2))) * tau ** -(d // 2)
     return inv_tau, powers, norm, prefactor, xx
 
 
@@ -376,16 +327,14 @@ def mehler_kernel(tau, R, formal=False):
     # exp(M) zcsch(M) is one series in M
     xy = power_sum(powers, _cauchy(_exp_coeffs(n), _zcsch_coeffs(n))) \
         .scale(inv_tau * QC(Fraction(-1, 2)))
-    return GaussianKernel.assemble(R.table, R.d, norm, -(R.d // 2), prefactor,
-                                   xx, xy, xx)
+    return GaussianKernel(R.table, R.d, norm, -(R.d // 2), prefactor, xx, xy, xx)
 
 
 def heat_element(tau, R, formal=False):
     """One-point heat element H_tau(X), the two-point kernel at Y = 0,
     built without the X-Y and Y-Y blocks."""
     _, _, norm, prefactor, xx = _kernel_parts(tau, R, formal)
-    return GaussianKernel.assemble(R.table, R.d, norm, -(R.d // 2), prefactor,
-                                   xx, None, None)
+    return GaussianKernel(R.table, R.d, norm, -(R.d // 2), prefactor, xx)
 
 
 def kappa_form(X, Y, R, coeff=None):
@@ -405,8 +354,8 @@ def twist_factor(R, coeff=None):
     """The kernel exp(-1/2 kappa(X, Y)) as a Gaussian with zero diagonal blocks."""
     c = Fraction(coeff if coeff is not None else KAPPA_COEFF)
     xy = R.mat.scale(QC(c) * QC(Fraction(1, 2)))
-    return GaussianKernel.assemble(R.table, R.d, QC(1), 0, R.table.one(),
-                                   None, xy, None)
+    zero = FormMatrix.zero(R.table, R.d)
+    return GaussianKernel(R.table, R.d, QC(1), 0, R.table.one(), zero, xy, zero)
 
 
 def twisted_convolve(f, g, R, kappa_coeff=None):
@@ -414,7 +363,7 @@ def twisted_convolve(f, g, R, kappa_coeff=None):
 
     Gaussian integration in Y: with exponent -1/2 Y^T Myy Y + J.Y the result
     carries (2 pi)^(d/2) det(Myy)^(-1/2) exp(1/2 J^T Myy^-1 J), determinant
-    and inverse from one elimination over the even forms.
+    and Myy^-1 Mxy^T from one elimination over the even forms.
     """
     if not (f.is_one_variable and g.is_one_variable):
         raise ValueError("twisted convolution is defined for one-variable kernels")
@@ -422,19 +371,14 @@ def twisted_convolve(f, g, R, kappa_coeff=None):
         raise ValueError("kernel mismatch")
     table, d = f.table, f.d
     c = Fraction(kappa_coeff if kappa_coeff is not None else KAPPA_COEFF)
-    Af = f.xx_block()
-    Ag = g.xx_block()
-    Mxx = Af
+    Af = f.xx
     Mxy = (-Af) + R.mat.scale(QC(c) * QC(Fraction(1, 2)))
-    Myy = Af + Ag
-    det, inv = _eliminate(Myy)
+    det, solved = _eliminate(Af + g.xx, Mxy.transpose())
     scalar, series = _det_invsqrt(det)
-    xx_out = Mxx - (Mxy @ inv @ Mxy.transpose())
     norm = f.norm * g.norm * QC(2 ** (d // 2)) * scalar
     pref = f.prefactor * g.prefactor * series
-    return GaussianKernel.assemble(table, d, norm,
-                                   f.pi_pow + g.pi_pow + d // 2, pref,
-                                   xx_out, None, None)
+    return GaussianKernel(table, d, norm, f.pi_pow + g.pi_pow + d // 2, pref,
+                          Af - Mxy @ solved)
 
 
 def solve_kappa_constant(tau=Fraction(1, 2), R=None):
@@ -453,7 +397,7 @@ def solve_kappa_constant(tau=Fraction(1, 2), R=None):
     Ht = mehler_kernel(tau, R)
     H = heat_element(tau, R)
     shifted = H.shift_to_difference()
-    delta = Ht.xy_block() - shifted.xy_block()
+    delta = Ht.xy - shifted.xy
     # order-R^1 part lives in the degree-2 components of the entries
     lam = None
     for i in range(R.d):
@@ -493,16 +437,18 @@ def coefficient_gap(f, g):
 def kernel_max_residual(a, b):
     """Largest coefficient deviation between two kernels (0.0 when equal).
 
-    Compares normalization, prefactor and quadratic-form data coefficient
-    by coefficient after numeric evaluation; pi powers must agree.
+    Compares normalization, prefactor and quadratic-form blocks coefficient
+    by coefficient after numeric evaluation; pi powers and variables must
+    agree.
     """
-    if a.pi_pow != b.pi_pow or a.d != b.d:
+    if (a.pi_pow != b.pi_pow or a.d != b.d
+            or a.is_one_variable != b.is_one_variable):
         return float("inf")
-    n = 2 * a.d
+    pairs = zip((a.xx, a.xy, a.yy), (b.xx, b.xy, b.yy))
     return max(abs(complex(a.norm) - complex(b.norm)),
                coefficient_gap(a.prefactor, b.prefactor),
-               *(coefficient_gap(a.quad[i, j], b.quad[i, j])
-                 for i in range(n) for j in range(n)))
+               *(coefficient_gap(p, q) for x, y in pairs if x is not None
+                 for rp, rq in zip(x.rows, y.rows) for p, q in zip(rp, rq)))
 
 
 def str_zero(x):
@@ -547,16 +493,16 @@ def heat_equation_residual(R):
     """
     table, d = R.table, R.d
     H = mehler_kernel(None, R, formal=True)
-    Q = H.quad
+    xx, xy = H.xx, H.xy
+    Q = FormMatrix(table, [a + b for a, b in zip(xx.rows, xy.rows)]
+                   + [a + b for a, b in zip(xy.transpose().rows, H.yy.rows)])
     P = H.prefactor
     zero = table.zero()
-    quarter_R = R.mat.scale(Fraction(1, 4))
-    pad = (zero,) * d
-    L = -FormMatrix(table, [[q + r for q, r in zip(Q.rows[i], quarter_R.rows[i] + pad)]
-                            for i in range(d)])
+    L = -FormMatrix(table, [a + b for a, b in
+                            zip((xx + R.mat.scale(Fraction(1, 4))).rows, xy.rows)])
     # sum_i d(w_i)/dX_i = -sum_i Q_ii, since R_ii = 0
     constant = (P.scale(_norm_log_derivative(H.norm)) + _tau_derivative_form(P)
-                + P * H.xx_block().trace())
+                + P * xx.trace())
     quad = (Q.map_entries(_tau_derivative_form).scale(Fraction(-1, 2))
             - L.transpose() @ L).scale_form(P)
     rows = [[constant] + [zero] * (2 * d)]

@@ -16,6 +16,7 @@ monomials to coefficients.  Products follow the Koszul rule
 from __future__ import annotations
 
 import math
+import numbers
 import re as _re
 from bisect import bisect_right
 from dataclasses import dataclass, field
@@ -29,6 +30,13 @@ SIGMA_ID = 0
 
 class TableMismatchError(ValueError):
     """Raised when elements over different generator tables are combined."""
+
+
+def _integer(value, what):
+    """``value`` as an int; a float or bool is refused, not truncated."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return int(value)
 
 
 class GeneratorTable:
@@ -52,7 +60,7 @@ class GeneratorTable:
     """
 
     def __init__(self, top_degree, generators=()):
-        top_degree = int(top_degree)
+        top_degree = _integer(top_degree, "top degree")
         if top_degree <= 0 or top_degree % 2:
             raise ValueError("top degree must be a positive even integer")
         self.top_degree = top_degree
@@ -77,7 +85,7 @@ class GeneratorTable:
             raise ValueError(f"generator {name!r} already defined")
         if not _re.fullmatch(r"[A-Za-z_][A-Za-z_0-9]*", name):
             raise ValueError(f"bad generator name {name!r}")
-        degree = int(degree)
+        degree = _integer(degree, f"degree of {name!r}")
         if degree < 1:
             raise ValueError("non-sigma generators must have degree >= 1")
         gid = len(self._names)

@@ -336,8 +336,11 @@ class TauPoly:
         return NotImplemented
 
     def __pow__(self, k):
-        if not isinstance(k, int) or k < 0:
+        """Integer power; a negative one needs a tau-monomial."""
+        if not isinstance(k, int):
             return NotImplemented
+        if k < 0:
+            return (TauPoly.const(1) / self) ** -k
         out = TauPoly.const(1)
         for _ in range(k):
             out = out * self

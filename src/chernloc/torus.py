@@ -12,12 +12,12 @@ normalization as the symbolic modules.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .clifford import spinor_representation
+from .multiform import _integer
 
 _SPIN_OFFSETS = {"p": 0.0, "a": 0.5}
 
@@ -41,9 +41,7 @@ class TorusModel:
                 raise ValueError(f"side lengths must be finite and positive, got {L!r}")
         if not math.isfinite(self.L1 * self.L2):
             raise ValueError(f"the area L1 * L2 = {self.L1!r} * {self.L2!r} overflows")
-        if not isinstance(self.K, numbers.Integral) or isinstance(self.K, bool):
-            raise ValueError(f"Fourier cutoff must be an integer, got {self.K!r}")
-        if self.K < 1:
+        if _integer(self.K, "Fourier cutoff") < 1:
             raise ValueError("Fourier cutoff must be at least one")
         if len(self.spin) != 2 or any(s not in _SPIN_OFFSETS for s in self.spin):
             raise ValueError("spin structure must be two letters from {p, a}")

@@ -321,6 +321,31 @@ def test_flat_curvature_in_mehler_is_a_json_error(tmp_path, capsys):
                    "error": "ArithmeticError: degenerate curvature; cannot solve"}
 
 
+@pytest.mark.parametrize("command", ["mehler", "localize"])
+@pytest.mark.parametrize("entry, negated, generators",
+                         [("1", "-1", []), ("1 + w", "-1 - w", ["w"])])
+def test_constant_curvature_entry_is_a_json_error(tmp_path, capsys, command, entry,
+                                                  negated, generators):
+    # such an R is not nilpotent; the series over its powers would not end
+    path = tmp_path / "case.json"
+    path.write_text(json.dumps({"d": 2, "generators": generators,
+                                "R": [["0", entry], [negated, "0"]]}))
+    code, doc = run_cli(capsys, [command, str(path)])
+    assert code == 2
+    assert doc["ok"] is False
+    assert doc["error"].startswith("ValueError: curvature entry (0, 1) = ")
+    assert doc["error"].endswith("has a constant term, so it is not nilpotent")
+
+
+def test_non_integer_fiber_dimension_is_a_json_error(tmp_path, capsys):
+    path = tmp_path / "mehler.json"
+    path.write_text(json.dumps({"d": 4.7, "generators": ["u", "v"], "R": R4}))
+    code, doc = run_cli(capsys, ["mehler", str(path)])
+    assert code == 2
+    assert doc == {"ok": False,
+                   "error": "ValueError: top degree must be an integer, got 4.7"}
+
+
 def test_negative_n_max_is_a_json_error(tmp_path, capsys):
     path = tmp_path / "model.json"
     path.write_text(json.dumps(_model_doc()))

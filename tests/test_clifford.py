@@ -198,11 +198,16 @@ def test_odd_dimension_supertrace_rejected():
 
 
 def test_quantize_rejects_higher_degree_generators():
+    # generator ids are Clifford bits, so a degree-two generator anywhere in
+    # the table would shift them and make the Clifford dimension odd
     from chernloc.multiform import GeneratorTable
     t = GeneratorTable(4)
     t.add_generator("u", 2)
-    with pytest.raises(ValueError):
-        quantize(t.gen("u"))
+    t.add_generator("x", 1)
+    t.add_generator("y", 1)
+    for omega in (t.gen("u"), t.gen("x") * t.gen("y"), t.one()):
+        with pytest.raises(ValueError, match="degree-one generators only"):
+            quantize(omega)
 
 
 def test_canonical_serialization_golden():

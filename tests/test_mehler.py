@@ -74,10 +74,10 @@ def test_flat_kernel_is_standard_heat_kernel(curvature_d2):
     for i in range(2):
         for j in range(2):
             want_xx = table.scalar(inv2tau) if i == j else table.zero()
-            assert H.xx_block()[i, j] == want_xx
-            assert H.yy_block()[i, j] == want_xx
+            assert H.xx[i, j] == want_xx
+            assert H.yy[i, j] == want_xx
             want_xy = table.scalar(-inv2tau) if i == j else table.zero()
-            assert H.xy_block()[i, j] == want_xy
+            assert H.xy[i, j] == want_xy
 
 
 def test_diagonal_value_is_normalized_characteristic_form(curvature_d4):
@@ -100,6 +100,17 @@ def test_mehler_rejects_nonpositive_time(curvature_d2):
         mehler_kernel(0, R)
     with pytest.raises(ValueError):
         heat_element(Fraction(-1, 2), R)
+
+
+@pytest.mark.parametrize("entry, negated", [("1", "-1"), ("1 + w", "-1 - w"),
+                                            ("-2/3 w + 5", "2/3 w - 5")])
+def test_curvature_rejects_a_constant_term_by_entry(entry, negated):
+    # a constant entry is not nilpotent: the powers of R would never vanish
+    table = GeneratorTable(2)
+    table.add_generator("w", 2)
+    rows = [["0", entry], [negated, "0"]]
+    with pytest.raises(ValueError, match=r"curvature entry \(0, 1\) = .* constant term"):
+        CurvatureMatrix.from_rows(table, rows)
 
 
 # -- kappa ---------------------------------------------------------------------------------
@@ -244,8 +255,8 @@ def test_heat_element_is_the_two_point_kernel_at_the_origin(d):
     for tau, formal in ((Fraction(1, 4), False), (1, False), (Fraction(3, 2), False),
                         (None, True)):
         full = mehler_kernel(tau, R, formal=formal)
-        want = GaussianKernel.assemble(R.table, d, full.norm, full.pi_pow,
-                                       full.prefactor, full.xx_block(), None, None)
+        want = GaussianKernel(R.table, d, full.norm, full.pi_pow,
+                              full.prefactor, full.xx)
         assert heat_element(tau, R, formal=formal) == want
 
 
@@ -379,11 +390,38 @@ def test_gaussian_integral_rejects_indefinite_forms():
             gaussian_integral(mat, [0] * len(mat))
 
 
+def test_kernel_blocks_are_d_by_d_and_paired(curvature_d2):
+    table, R = curvature_d2
+    I2, I4 = FormMatrix.identity(table, 2), FormMatrix.identity(table, 4)
+    one = table.one()
+    with pytest.raises(ValueError):
+        GaussianKernel(table, 2, QC(1), 0, one, I2, I2)
+    with pytest.raises(ValueError):
+        GaussianKernel(table, 2, QC(1), 0, one, I2, yy=I2)
+    with pytest.raises(ValueError):
+        GaussianKernel(table, 2, QC(1), 0, one, I4)
+    with pytest.raises(ValueError):
+        GaussianKernel(table, 2, QC(1), 0, one, I2, I2, I4)
+    assert GaussianKernel(table, 2, QC(1), 0, one, I2).is_one_variable
+    assert not GaussianKernel(table, 2, QC(1), 0, one, I2, -I2, I2).is_one_variable
+
+
+def test_kernel_product_needs_two_variable_kernels(curvature_d2):
+    _, R = curvature_d2
+    H = heat_element(1, R)
+    twist = twist_factor(R)
+    with pytest.raises(ValueError):
+        H.mul(twist)
+    with pytest.raises(ValueError):
+        twist.mul(H)
+    assert H.shift_to_difference().mul(twist) == mehler_kernel(1, R)
+
+
 def test_twisted_convolve_rejects_a_non_positive_y_block(curvature_d2):
     # Myy = Af + Ag = -3 I + 2 I is negative definite
     table, R = curvature_d2
-    f = GaussianKernel.assemble(table, 2, QC(1), 0, table.one(),
-                                FormMatrix.identity(table, 2, -3), None, None)
+    f = GaussianKernel(table, 2, QC(1), 0, table.one(),
+                       FormMatrix.identity(table, 2, -3))
     g = heat_element(Fraction(1, 4), R)
     with pytest.raises(ValueError):
         twisted_convolve(f, g, R)
@@ -425,10 +463,31 @@ def test_elimination_matches_leibniz_determinant_and_inverts():
     cases.append(_random_gaussian_matrix(table, 3, rng, coeff=TauPoly.var(-1)))
     for M in cases:
         n = M.shape[0]
-        det, inv = mh._eliminate(M)
+        det, inv = mh._eliminate(M, FormMatrix.identity(table, n))
         assert det == det_leibniz(M)
         assert M @ inv == FormMatrix.identity(table, n)
         assert inv @ M == FormMatrix.identity(table, n)
+
+
+def test_elimination_solves_only_for_its_right_hand_side():
+    import chernloc.mehler as mh
+    rng = random.Random(12)
+    table = GeneratorTable(4)
+    table.add_generator("u", 2)
+    table.add_generator("v", 2)
+    for n in (1, 2, 3, 4):
+        for coeff in (QC(1), TauPoly.var(-1)):
+            M = _random_gaussian_matrix(table, n, rng, coeff=coeff)
+            want = det_leibniz(M)
+            det, solved = mh._eliminate(M, FormMatrix.zero(table, n, 0))
+            assert det == want and solved.shape == (n, 0)
+            B = FormMatrix(table, [row[:2] for row in
+                                   _random_gaussian_matrix(table, n + 2, rng).rows[:n]])
+            det, X = mh._eliminate(M, B)
+            assert det == want
+            assert M @ X == B
+    with pytest.raises(ValueError):
+        mh._eliminate(M, FormMatrix.zero(table, n + 1, 0))
 
 
 # -- exactness ------------------------------------------------------------------------------------
@@ -437,9 +496,10 @@ def test_elimination_matches_leibniz_determinant_and_inverts():
 def _kernel_coefficients(K):
     yield K.norm
     yield from K.prefactor.terms.values()
-    for row in K.quad.rows:
-        for e in row:
-            yield from e.terms.values()
+    for block in (K.xx, K.xy, K.yy):
+        for row in (block.rows if block is not None else ()):
+            for e in row:
+                yield from e.terms.values()
 
 
 def test_gaussian_outputs_stay_exact():

@@ -156,6 +156,20 @@ def test_table_mismatch_rejected():
         t1.gen("x") * t2.gen("x")
 
 
+@pytest.mark.parametrize("top", [4.7, 4.0, True, "4"])
+def test_non_integer_top_degree_is_rejected_by_value(top):
+    with pytest.raises(ValueError, match=f"top degree must be an integer, got {top!r}"):
+        GeneratorTable(top)
+
+
+@pytest.mark.parametrize("degree", [1.9, 2.0, True])
+def test_non_integer_generator_degree_is_rejected_by_value(degree):
+    table = GeneratorTable(4)
+    with pytest.raises(ValueError, match=f"degree of 'z' must be an integer, got {degree!r}"):
+        table.add_generator("z", degree)
+    assert table.names == ("sigma",)
+
+
 seeds = st.integers(0, 2**32)
 # complex coefficients whose parts have different denominators
 complex_coeffs = st.builds(QC, st.fractions(max_denominator=60),

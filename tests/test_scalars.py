@@ -51,6 +51,15 @@ def test_tau_poly_ring_and_calculus():
         p / (t + TauPoly.const(1))
 
 
+def test_tau_poly_negative_powers_of_monomials_only():
+    t = TauPoly.var(1)
+    assert t ** -2 == TauPoly.var(-2)
+    assert TauPoly.var(3, QC(2)) ** -1 == TauPoly.var(-3, QC(Fraction(1, 2)))
+    assert t ** 0 == TauPoly.const(1)
+    with pytest.raises(ZeroDivisionError):
+        (t + TauPoly.const(1)) ** -1
+
+
 def test_pi_scalar_arithmetic():
     x = PiScalar(QC(2), -1)
     y = PiScalar(QC(3), -1)
