@@ -149,15 +149,6 @@ class BarChain:
             rows.append([str(coeff), [table.mono_str(m) for m in word]])
         return rows
 
-    @classmethod
-    def from_lists(cls, table, rows):
-        words = []
-        for coeff, slots in rows:
-            word = tuple(table.parse(s) for s in slots)
-            words.append((table.parse(str(coeff)).constant_term() if isinstance(coeff, str)
-                          else coerce(coeff), word))
-        return cls.from_words(table, words)
-
     def __str__(self):
         if not self.terms:
             return "0"

@@ -7,8 +7,9 @@ monomials of a form algebra.  On top of this the module provides:
 * the curvature cochain F (arities 0, 1, 2; higher ones vanish), with the
   two-slot sign fixed by F = beta(omega) + omega^2;
 * the rescaled Chern character as a perturbation series over simplices,
-  summed in one block upper-triangular matrix exponential, with nested
-  Gauss-Legendre quadrature over each splitting as the test oracle;
+  summed in one block upper-triangular matrix exponential (the empty word
+  included); :func:`simplex_str_quad`, nested Gauss-Legendre quadrature
+  over one splitting, is kept for the tests' per-splitting oracle;
 * idempotent calculus: the cyclic chain built from R = (2p-1)dp + sigma(dp)^2
   and the heat-supertrace comparison for D_p = D + c((2p-1)dp), whose left
   side sums the character of the whole chain in one Duhamel integral
@@ -138,9 +139,6 @@ class FredholmModel:
             out += (t ** deg) * complex(coeff) * self.c_mono(mono)
         return out
 
-    def str_of(self, mat):
-        return complex(np.trace(self.grading @ mat))
-
 
 def random_model(table, rng, dim_plus=2, dim_minus=2, scale=0.6, q_scale=1.0):
     """Random hermitian-Q model with parity-consistent c assignments."""
@@ -256,8 +254,9 @@ def simplex_matrix_integral(A, Bs, Bs2=()):
 
 
 def simplex_str_quad(A, Bs, weight, order=32):
-    """Oracle engine: the composition sum by iterated Gauss-Legendre quadrature
-    over the simplex, evaluated in the eigenbasis of A.  The outer levels
+    """Test oracle for one splitting: tr(weight int_simplex ...) as in
+    :func:`simplex_matrix_integral`, by iterated Gauss-Legendre quadrature
+    over the simplex in the eigenbasis of A.  The outer levels
     loop over nodes; the innermost level runs over all nodes at once."""
     k = len(Bs)
     if k == 0:
@@ -297,27 +296,7 @@ def simplex_str_quad(A, Bs, weight, order=32):
     return complex(integrate(0.0, 1, W))
 
 
-def simplex_str(A, Bs, weight, engine="expm", quad_order=32):
-    if engine == "expm":
-        return complex(np.trace(weight @ simplex_matrix_integral(A, Bs)))
-    if engine == "quad":
-        return simplex_str_quad(A, Bs, weight, order=quad_order)
-    raise ValueError(f"unknown engine {engine!r}")
-
-
 # -- the Chern character ----------------------------------------------------------------
-
-
-def _compositions(n):
-    """Compositions of n into parts of size one or two."""
-    if n == 0:
-        yield ()
-        return
-    for rest in _compositions(n - 1):
-        yield (1,) + rest
-    if n >= 2:
-        for rest in _compositions(n - 2):
-            yield (2,) + rest
 
 
 def _as_form_matrix_word(table, word):
@@ -367,36 +346,29 @@ def _kron_model(model, n):
     return Qh, Gh
 
 
-def chern_t(model, t, target, engine="expm"):
+def chern_t(model, t, target):
     """The rescaled Chern character evaluated on a word or chain.
 
     Each admissible splitting of the word into adjacent blocks of size one
     or two contributes
     (-1)^k  t^(|theta| - N + 2k)  int_simplex Str(e^(-t^2 tau_1 Q^2)
-    prod_p F(block_p) e^(-t^2 (tau_{p+1}-tau_p) Q^2)) dtau.
-
-    ``engine="expm"`` sums all splittings in one block exponential;
-    ``engine="quad"`` is the quadrature oracle over each splitting.
+    prod_p F(block_p) e^(-t^2 (tau_{p+1}-tau_p) Q^2)) dtau,
+    and all splittings are summed in one block exponential.
     """
     if t <= 0:
         raise ValueError("the scaling parameter must be positive")
-    if engine not in ("expm", "quad"):
-        raise ValueError(f"unknown engine {engine!r}")
     table = model.table
     if isinstance(target, BarChain):
         total = 0j
         for word, coeff in target.terms.items():
-            total += complex(coeff) * chern_t(model, t, word, engine)
+            total += complex(coeff) * chern_t(model, t, word)
         return total
     if isinstance(target, tuple) and target and isinstance(target[0], FormElement):
-        chain = BarChain.from_word(table, target)
-        return chern_t(model, t, chain, engine)
+        return chern_t(model, t, BarChain.from_word(table, target))
     if isinstance(target, tuple) and target and isinstance(target[0], FormMatrix):
-        return _chern_matrix_word(model, t, target, engine)
+        return _chern_matrix_word(model, t, target)
     # monomial word (possibly empty)
-    word = tuple(target)
-    mats = _as_form_matrix_word(table, word)
-    return _chern_matrix_word(model, t, mats, engine)
+    return _chern_matrix_word(model, t, _as_form_matrix_word(table, tuple(target)))
 
 
 def _scaled_f1(model, t, slot, cache):
@@ -428,20 +400,18 @@ def _scaled_f2(model, t, slot1, slot2, cache):
     return out
 
 
-def _chern_matrix_word(model, t, mats, engine):
+def _chern_matrix_word(model, t, mats):
     """Sum over block splittings; the t powers are absorbed into the blocks
     (simplex integrals are multilinear in them), so mixed-degree entries
     need no separate expansion.
 
-    The expm engine evaluates the whole splitting sum in one block
-    upper-triangular exponential: index-increasing paths from the first to
-    the last block of expm reproduce every splitting with its simplex
-    integral and the alternating sign carried by the off-diagonal blocks.
+    The whole splitting sum is one block upper-triangular exponential:
+    index-increasing paths from the first to the last block of expm
+    reproduce every splitting with its simplex integral and the alternating
+    sign carried by the off-diagonal blocks.  The empty word is the 1 x 1
+    case, Str(e^(-t^2 Q^2)).
     """
-    if not mats:
-        A = (t ** 2) * (model.Q @ model.Q)
-        return complex(simplex_str(A, [], model.grading, engine))
-    n = mats[0].shape[0]
+    n = mats[0].shape[0] if mats else 1
     for m in mats:
         if m.shape[0] != n:
             raise ValueError("mixed auxiliary dimensions in a word")
@@ -449,32 +419,10 @@ def _chern_matrix_word(model, t, mats, engine):
     N = len(mats)
     Qh, Gh = _kron_model(model, n)
     A = (t ** 2) * (Qh @ Qh)
-    if engine == "expm":
-        corner = simplex_matrix_integral(
-            A, [-_scaled_f1(model, t, mats[i], cache) for i in range(N)],
-            [-_scaled_f2(model, t, mats[i], mats[i + 1], cache) for i in range(N - 1)])
-        return complex(np.trace(Gh @ corner))
-    total = 0j
-    for comp in _compositions(N):
-        k = len(comp)
-        blocks = []
-        pos = 0
-        dead = False
-        for part in comp:
-            if part == 1:
-                B = _scaled_f1(model, t, mats[pos], cache)
-            else:
-                B = _scaled_f2(model, t, mats[pos], mats[pos + 1], cache)
-            pos += part
-            if not np.any(B):
-                dead = True
-                break
-            blocks.append(B)
-        if dead:
-            continue
-        value = simplex_str_quad(A, blocks, Gh)
-        total += ((-1) ** k) * value
-    return total
+    corner = simplex_matrix_integral(
+        A, [-_scaled_f1(model, t, mats[i], cache) for i in range(N)],
+        [-_scaled_f2(model, t, mats[i], mats[i + 1], cache) for i in range(N - 1)])
+    return complex(np.trace(Gh @ corner))
 
 
 # -- idempotents and the heat-supertrace comparison ----------------------------------------

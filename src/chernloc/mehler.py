@@ -27,7 +27,8 @@ Main objects:
 
 The kappa normalization is not hard-coded blindly: :func:`solve_kappa_constant`
 re-derives it from the order-R^1 cross-term matching of the factorization
-H_tau(X,Y) = H_tau(X-Y) exp(-1/2 kappa(X,Y)) and then checks the full identity.
+H_tau(X,Y) = H_tau(X-Y) exp(-1/2 kappa(X,Y)), on the degree-two parts of
+the curvature entries, and then checks the full identity.
 """
 
 from __future__ import annotations
@@ -205,24 +206,6 @@ def _det_invsqrt(det):
     root = _qc_sqrt(inv0) if isinstance(inv0, QC) else None
     scalar = root if root is not None else cmath.sqrt(complex(inv0))
     return scalar, inv_sqrt_series
-
-
-def gaussian_integral(mat_rows, b):
-    """Gaussian integral int exp(-1/2 x^T M x + b.x) dx over R^n.
-
-    ``mat_rows`` is a numeric symmetric positive-definite matrix (entries
-    exact or float), ``b`` a numeric vector.  Runs through the same
-    elimination as the twisted convolution, solving for b as a column;
-    returns a complex number (2 pi)^(n/2) det(M)^(-1/2) exp(1/2 b^T M^-1 b).
-    """
-    n = len(b)
-    table = GeneratorTable(2)
-    det, solved = _eliminate(FormMatrix.from_scalars(table, mat_rows),
-                             FormMatrix.from_scalars(table, [[x] for x in b]))
-    scalar, _ = _det_invsqrt(det)
-    quad = sum((complex(coerce(x) * solved[i, 0].constant_term())
-                for i, x in enumerate(b)), 0j)
-    return complex(scalar) * cmath.exp(0.5 * quad) * (2 * math.pi) ** (n / 2)
 
 
 # -- Gaussian kernels -------------------------------------------------------------------
@@ -403,8 +386,8 @@ def solve_kappa_constant(tau=Fraction(1, 2), R=None):
     for i in range(R.d):
         for j in range(R.d):
             target = delta[i, j].homogeneous_parts().get(2)
-            source = R.entry(i, j)
-            if target is None or source.is_zero():
+            source = R.entry(i, j).homogeneous_parts().get(2)
+            if target is None or source is None:
                 continue
             for mono, rc in source.terms.items():
                 tc = target.coefficient(mono)

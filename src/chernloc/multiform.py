@@ -405,17 +405,21 @@ class FormElement:
         return self.split_sigma()[1]
 
     # -- differentials ------------------------------------------------------------
-    def d(self):
-        """Extension of the generator differentials as an odd derivation."""
-        table = self.table
+    def _apply(self, mono_terms):
+        """The linear map whose value on each monomial is ``mono_terms``."""
         out = {}
         for mono, coeff in self.terms.items():
-            for m, c in table.mono_d(mono):
+            for m, c in mono_terms(mono):
                 _add_term(out, m, coeff * c)
-        return FormElement._nonzero(table, out)
+        return FormElement._nonzero(self.table, out)
+
+    def d(self):
+        """Extension of the generator differentials as an odd derivation."""
+        return self._apply(self.table.mono_d)
 
     def d_T(self):
-        return self.d() - self.iota()
+        """d_T = d - iota, summed over the memoized monomial terms."""
+        return self._apply(self.table.mono_d_T)
 
     # -- hashing / equality ---------------------------------------------------------
     def _key(self):
@@ -590,9 +594,14 @@ _INEXACT_LITERAL = _re.compile(r"[.eE]")
 _EXPONENT_OPEN = _re.compile(r"(?<![A-Za-z_0-9.])(?:\d+\.?\d*|\.\d+)[eE]$")
 
 
+# a parenthesized factor or a run of non-space characters outside parentheses
+_FACTOR = _re.compile(r"\([^()]*\)|[^\s*()]+|[()]")
+
+
 def _parse_coeff(text):
-    """Parse 'a', 'a/b', 'ai', 'i', or '(a+bi)' into an exact/inexact scalar;
-    a literal with a decimal point or an exponent is inexact."""
+    """Parse 'a', 'a/b', 'ai', 'i' or '(a+bi)', each also in parentheses, into
+    an exact/inexact scalar; a literal with a decimal point or an exponent is
+    inexact."""
     text = text.strip()
     if text.startswith("(") and text.endswith(")"):
         inner = text[1:-1].replace(" ", "")
@@ -601,7 +610,7 @@ def _parse_coeff(text):
             r"(?P<sign>[+-])(?P<im>\d+(?:/\d+)?(?:\.\d+)?(?:[eE][+-]?\d+)?)?i",
             inner)
         if not m:
-            raise ValueError(f"bad complex coefficient {text!r}")
+            return _parse_coeff(inner)
         re_part = m.group("re")
         im_part = m.group("im") or "1"
         if m.group("sign") == "-":
@@ -653,12 +662,10 @@ def parse_form(table, text):
     if cur.strip():
         terms.append((sign, cur))
     for sgn, term in terms:
-        factors = [f for chunk in term.split("*") for f in chunk.split()]
         value = table.one().scale(sgn)
-        for fac in factors:
-            fac = fac.strip()
-            if not fac:
-                continue
+        for fac in _FACTOR.findall(term):
+            if fac in ("(", ")"):
+                raise ValueError(f"unbalanced or nested parentheses in {term.strip()!r}")
             m = _re.fullmatch(r"([A-Za-z_][A-Za-z_0-9]*)(?:\^(\d+))?", fac)
             if m and m.group(1) in table._ids:
                 g = table.gen(m.group(1))
@@ -671,6 +678,11 @@ def parse_form(table, text):
                     coeff = _parse_coeff(fac)
                 except ZeroDivisionError:
                     raise ValueError(f"zero denominator in {fac!r}") from None
+                except ValueError:
+                    if fac.startswith("("):
+                        raise ValueError(f"{fac!r} is not a number literal; a "
+                                         "parenthesized sum is not expanded") from None
+                    raise
                 value = value.scale(coeff)
         result += value
     return result

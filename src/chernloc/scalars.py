@@ -72,9 +72,6 @@ class QC:
     def __complex__(self):
         return complex(self.re_num / self.den, self.im_num / self.den)
 
-    def conjugate(self):
-        return _qc(self.re_num, -self.im_num, self.den)
-
     def is_zero(self):
         return not self.re_num and not self.im_num
 

@@ -282,13 +282,17 @@ def test_cochain_parity_with_unequal_graded_dimensions(dim_plus, dim_minus):
 
 
 def test_chain_nested_list_roundtrip():
-    rng = random.Random(18)
-    for _ in range(25):
-        table = random_table(rng)
-        chain = random_chain(table, rng)
-        rows = chain.to_lists()
-        back = BarChain.from_lists(table, rows)
-        assert back == chain
+    # the rows `chernloc bismut-chern` prints: [coefficient, slots] per word,
+    # ordered by length, then word; a sum in a slot is expanded
+    t = simple_table()
+    x, y, u, s = t.gen("x"), t.gen("y"), t.gen("u"), t.sigma()
+    chain = BarChain.from_words(t, [(QC(Fraction(1, 2), -1), (x, s * u)),
+                                    (QC(3), (u + x,)), (QC(-2), (s * x, y)),
+                                    (QC(1), (x * y, u, y))])
+    assert chain.to_lists() == [["3", ["x"]], ["3", ["u"]],
+                                ["-2", ["sigma x", "y"]],
+                                ["(1/2-i)", ["x", "sigma u"]],
+                                ["1", ["x y", "u", "y"]]]
 
 
 def test_value_kind_mismatch_rejected():

@@ -306,6 +306,39 @@ def test_unknown_generator_in_a_table_is_a_json_error(tmp_path, capsys):
 
 
 
+def test_mehler_cli_with_a_degree_four_curvature_term(tmp_path, capsys):
+    # the kappa constant is matched on the degree-two part of each entry
+    path = tmp_path / "mehler.json"
+    path.write_text(json.dumps({
+        "d": 4,
+        "generators": ["u", "v"],
+        "R": [["0", "u + u v", "0", "0"],
+              ["-u - u v", "0", "0", "0"],
+              ["0", "0", "0", "v"],
+              ["0", "0", "-v", "0"]],
+    }))
+    code, doc = run_cli(capsys, ["mehler", str(path)])
+    assert code == 0
+    assert doc["ok"] and doc["semigroup_exact"] and doc["heat_equation_exact"]
+    assert doc["a_hat_normalized"]
+    assert doc["kappa_constant"] == "-1/2"
+
+
+def test_parenthesized_sum_in_a_word_is_a_json_error(tmp_path, capsys):
+    path = tmp_path / "case.json"
+    path.write_text(json.dumps({
+        "d": 2,
+        "generators": ["w"],
+        "R": [["0", "w"], ["-w", "0"]],
+        "word": ["-(1 + w) * sigma w"],
+    }))
+    code, doc = run_cli(capsys, ["localize", str(path)])
+    assert code == 2
+    assert doc == {"ok": False,
+                   "error": "ValueError: '(1 + w)' is not a number literal; "
+                            "a parenthesized sum is not expanded"}
+
+
 def test_flat_curvature_in_mehler_is_a_json_error(tmp_path, capsys):
     # a flat R leaves no cross term to derive the kappa constant from
     path = tmp_path / "mehler.json"

@@ -1,12 +1,12 @@
-import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from chernloc.formmatrix import FormMatrix, det_leibniz
 from chernloc.mehler import (KAPPA_COEFF, CurvatureMatrix, GaussianKernel,
-                             a_hat, gaussian_integral, heat_element,
+                             a_hat, heat_element,
                              heat_equation_residual, kappa_form,
                              kernel_max_residual, mehler_kernel,
                              solve_kappa_constant, str_zero, twist_factor,
@@ -326,29 +326,19 @@ def test_str_zero_on_forms(curvature_d2):
     assert str_zero(a + b) == str_zero(a) + str_zero(b)
 
 
-# -- the Gaussian integrator oracle ------------------------------------------------------------------
+# -- numeric Gaussian data from the elimination ----------------------------------------------------
 
 
-def closed_form_iterated(mat, b):
-    """Iterated one-dimensional completions of the square (axis by axis)."""
-    import cmath
-    n = len(b)
-    M = [[float(x) for x in row] for row in mat]
-    lin = [complex(x) for x in b]
-    value = 1.0 + 0j
-    for _ in range(n):
-        a = M[0][0]
-        value *= math.sqrt(2 * math.pi / a)
-        value *= cmath.exp(lin[0] ** 2 / (2 * a))
-        size = len(M)
-        newM = [[M[i][j] - M[i][0] * M[0][j] / a
-                 for j in range(1, size)] for i in range(1, size)]
-        newlin = [lin[i] + lin[0] * (-M[i][0] / a) for i in range(1, size)]
-        M, lin = newM, newlin
-    return value
+def _numeric_elimination(mat, b):
+    """(det M, M^-1 b) through the form elimination, on numeric entries."""
+    import chernloc.mehler as mh
+    table = GeneratorTable(2)
+    det, solved = mh._eliminate(FormMatrix.from_scalars(table, mat),
+                                FormMatrix.from_scalars(table, [[x] for x in b]))
+    return det.constant_term(), [solved[i, 0].constant_term() for i in range(len(b))]
 
 
-def test_gaussian_integral_against_iterated_closed_form():
+def test_elimination_matches_numpy_on_float_data():
     cases = [
         ([[2.0, 0.3], [0.3, 1.5]], [0.7, -0.4]),
         ([[1.0, -0.2], [-0.2, 3.0]], [0.0, 1.1]),
@@ -358,36 +348,33 @@ def test_gaussian_integral_against_iterated_closed_form():
         ([[7.0, 0.0], [0.0, 7.0]], [0.1, -0.2]),
     ]
     for mat, b in cases:
-        got = gaussian_integral(mat, b)
-        want = closed_form_iterated(mat, b)
-        assert abs(got - want) <= 1e-12 * abs(want)
+        det, solved = _numeric_elimination(mat, b)
+        want_det = np.linalg.det(mat)
+        want = np.linalg.solve(mat, b)
+        assert abs(complex(det) - want_det) <= 1e-12 * abs(want_det)
+        assert np.abs(np.array(solved, dtype=complex) - want).max() \
+            <= 1e-12 * np.abs(want).max()
 
 
 def test_gaussian_integral_exact_rational_case():
-    got = gaussian_integral([[Fraction(2), 0], [0, Fraction(2)]], [0, 0])
-    assert abs(got - math.pi) < 1e-14
+    det, solved = _numeric_elimination([[Fraction(2), 0], [0, Fraction(2)]], [1, 3])
+    assert det == QC(4) and solved == [QC(Fraction(1, 2)), QC(Fraction(3, 2))]
     # exact pivots far outside the float range are judged exactly
     for e in (400, -400):
-        got = gaussian_integral([[Fraction(10) ** -e]], [0])
-        want = math.sqrt(2 * math.pi) * 10.0 ** (e // 2)
-        assert abs(got - want) <= 1e-14 * want
+        det, solved = _numeric_elimination([[Fraction(10) ** -e]], [1])
+        assert det == QC(Fraction(10) ** -e) and solved == [QC(Fraction(10) ** e)]
 
 
 def test_gaussian_integral_rejects_indefinite_forms():
-    with pytest.raises(ValueError):
-        gaussian_integral([[1.0, 0.0], [0.0, -2.0]], [0.0, 0.0])
-    with pytest.raises(ValueError):
-        gaussian_integral([[1.0, 3.0], [3.0, 1.0]], [0.0, 0.0])
-    # a zero leading minor, first and last
-    with pytest.raises(ValueError):
-        gaussian_integral([[0.0, 1.0], [1.0, 2.0]], [0.0, 0.0])
-    with pytest.raises(ValueError):
-        gaussian_integral([[Fraction(1), Fraction(1)],
-                           [Fraction(1), Fraction(1)]], [0, 0])
-    # exact pivots: tiny negative, zero, and an indefinite second minor
-    for mat in ([[Fraction(-1, 10**400)]], [[0]], [[1, 2], [2, 1]]):
+    # Sylvester's criterion on the pivots, float and exact
+    for mat in ([[1.0, 0.0], [0.0, -2.0]], [[1.0, 3.0], [3.0, 1.0]],
+                # a zero leading minor, first and last
+                [[0.0, 1.0], [1.0, 2.0]], [[Fraction(1), Fraction(1)],
+                                           [Fraction(1), Fraction(1)]],
+                # exact pivots: tiny negative, zero, and an indefinite second minor
+                [[Fraction(-1, 10**400)]], [[0]], [[1, 2], [2, 1]]):
         with pytest.raises(ValueError):
-            gaussian_integral(mat, [0] * len(mat))
+            _numeric_elimination(mat, [0] * len(mat))
 
 
 def test_kernel_blocks_are_d_by_d_and_paired(curvature_d2):

@@ -209,6 +209,19 @@ def test_arithmetic_results_hold_no_zero_coefficient(a, b):
         assert not any(iszero(c) for c in h.terms.values())
 
 
+@given(seeds, exact_or_float)
+@example(3, 0.5)
+def test_d_T_is_d_minus_iota(seed, scale):
+    # d_T sums the memoized monomial terms of d_T; d - iota is its oracle,
+    # in value and in coefficient type
+    rng = random.Random(seed)
+    table = random_table(rng)
+    f = random_form(table, rng, n_terms=rng.randint(1, 8)).scale(scale)
+    got, want = f.d_T(), f.d() - f.iota()
+    assert got == want
+    assert all(type(got.terms[m]) is type(c) for m, c in want.terms.items())
+
+
 def test_canonical_text_form():
     # terms are listed by increasing degree, then monomial
     t = simple_table()
@@ -242,6 +255,21 @@ def test_parse_rejects_unknown_names_and_zero_denominators():
     # 'i' is the imaginary unit, not a generator
     (x,) = t.gen("x").terms
     assert t.parse("i x").terms[x] == QC(0, 1)
+
+
+def test_parse_parenthesized_literals():
+    t = GeneratorTable(4)
+    t.add_generator("w", 2)
+    (w,) = t.gen("w").terms
+    assert t.parse("(1/2) * w").terms == {w: QC(Fraction(1, 2))}
+    assert t.parse("(2)") == t.scalar(2)
+    assert t.parse("-(1)") == t.scalar(-1)
+    assert t.parse("(1+0i) * w") == t.gen("w")
+    # a sum in parentheses is not expanded; the error names it
+    with pytest.raises(ValueError, match=r"'\(1 \+ w\)' is not a number literal"):
+        t.parse("-(1 + w)")
+    with pytest.raises(ValueError, match="unbalanced or nested parentheses"):
+        t.parse("((1)) w")
 
 
 def test_parse_exponents_in_complex_literals():
