@@ -10,7 +10,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial
 
-from .multiform import FormElement, sum_of_products
+from .multiform import FormElement, _add_term, _mul_into
+from .scalars import coerce
 
 
 class FormMatrix:
@@ -91,6 +92,7 @@ class FormMatrix:
         return FormMatrix(self.table, [[-e for e in r] for r in self.rows])
 
     def scale(self, c):
+        c = coerce(c)
         return FormMatrix(self.table, [[e.scale(c) for e in r] for r in self.rows])
 
     def scale_form(self, f):
@@ -98,11 +100,25 @@ class FormMatrix:
         return FormMatrix(self.table, [[f * e for e in r] for r in self.rows])
 
     def __matmul__(self, other):
+        """Each entry accumulated in one term map over the pairs of nonzero
+        entries only."""
         self._compat(other, mul=True)
         table = self.table
-        cols = tuple(zip(*other.rows))
-        return FormMatrix(table, [[sum_of_products(table, zip(row, col)) for col in cols]
-                                  for row in self.rows])
+        cols = [{k: e.terms for k, e in enumerate(col) if e.terms}
+                for col in zip(*other.rows)]
+        out_rows = []
+        for row in self.rows:
+            pairs = [(k, e.terms) for k, e in enumerate(row) if e.terms]
+            out_row = []
+            for col in cols:
+                out = {}
+                for k, ta in pairs:
+                    tb = col.get(k)
+                    if tb is not None:
+                        _mul_into(out, table, ta, tb)
+                out_row.append(FormElement._nonzero(table, out))
+            out_rows.append(out_row)
+        return FormMatrix(table, out_rows)
 
     def transpose(self):
         n, m = self.shape
@@ -175,25 +191,53 @@ class FormMatrix:
 def mat_powers(mat):
     """[I, mat, mat^2, ...] up to the last nonzero power.
 
-    The entries of ``mat`` must have positive form degree, so the list ends
-    by nilpotency.
+    The entries of ``mat`` must have no constant term, so the list ends by
+    nilpotency; an entry with one raises ValueError.  With ``low`` the least
+    non-sigma degree of the monomials of ``mat``, every monomial of mat^k
+    has non-sigma degree at least low * k, so the list stops before that
+    exceeds the top degree without forming the zero power.
     """
-    powers = [FormMatrix.identity(mat.table, mat.shape[0])]
-    while True:
+    table = mat.table
+    low = None
+    for i, row in enumerate(mat.rows):
+        for j, e in enumerate(row):
+            if () in e.terms:
+                raise ValueError(f"matrix entry ({i}, {j}) = {e} has a constant "
+                                 "term, so its powers do not end")
+            for mono in e.terms:
+                deg = table.mono_nonsigma_degree(mono)
+                if low is None or deg < low:
+                    low = deg
+    powers = [FormMatrix.identity(table, mat.shape[0])]
+    if low is None:
+        return powers
+    powers.append(mat)
+    # a sigma-only monomial has non-sigma degree 0; sigma^2 = 0 ends those
+    while not low or low * len(powers) <= table.top_degree:
         power = powers[-1] @ mat
         if power.is_zero():
-            return powers
+            break
         powers.append(power)
+    return powers
 
 
 def power_sum(powers, coeffs):
     """sum_k coeffs[k] * powers[k] for powers = [I, M, M^2, ...], each entry
-    accumulated in one term map."""
+    accumulated in one term map of scaled coefficients."""
     table = powers[0].table
     n = powers[0].shape[0]
-    scaled = [(table.scalar(c), power) for power, c in zip(powers, coeffs) if c]
-    return FormMatrix(table, [[sum_of_products(table, ((s, p.rows[i][j]) for s, p in scaled))
-                               for j in range(n)] for i in range(n)])
+    scaled = [(coerce(c), power.rows) for power, c in zip(powers, coeffs) if c]
+    rows = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            out = {}
+            for c, prows in scaled:
+                for mono, v in prows[i][j].terms.items():
+                    _add_term(out, mono, c * v)
+            row.append(FormElement._nonzero(table, out))
+        rows.append(row)
+    return FormMatrix(table, rows)
 
 
 def mat_exp_nilpotent(mat):

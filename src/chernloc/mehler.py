@@ -1,9 +1,13 @@
 """Gaussian kernels with nilpotent curvature coefficients.
 
 The model fiber is R^d with an antisymmetric matrix R of even nilpotent
-2-forms.  The matrix functions of R (sinh(z)/z, z coth z, z csch z, exp)
-are coefficient lists summed over one list of powers [I, M, M^2, ...],
-which ends because the form algebra is nilpotent.  A Gaussian kernel holds
+2-forms.  The matrix functions of M = tau R/2 (sinh(z)/z, z coth z,
+z csch z, exp, log(sinh(z)/z)) are coefficient lists summed over one list
+of powers [I, M^2, M^4, ...], which ends because the form algebra is
+nilpotent; they are even in M, and the odd part of exp(z) z csch(z) costs
+one more product with M.  Each kernel does only the matrix work its reader
+reads: the boundary supertrace reads the norm and prefactor alone, and
+only the two-point kernel builds the X-Y block.  A Gaussian kernel holds
 its quadratic form as d x d blocks (X-X, and for a two-point kernel X-Y and
 Y-Y).  Determinants and solves of Gaussian data come from one Gauss-Jordan
 elimination over the commutative local ring of even forms: it returns the
@@ -13,10 +17,14 @@ numeric part is positive definite (Sylvester's criterion).
 
 Main objects:
 
-* :func:`a_hat` -- det^(1/2)((R/2)/sinh(R/2)) via exp(1/2 tr log ...).
+* :func:`a_hat` -- det^(1/2)((R/2)/sinh(R/2)) as exp(-1/2 tr log(sinh(M)/M))
+  with M = R/2, the log series summed over the powers of M^2; it shares no
+  determinant with the kernels.
 * :func:`mehler_kernel` -- the two-point oscillator heat kernel.
 * :func:`heat_element` -- its one-point boundary restriction H_tau(X),
   built from the shared X-X data alone.
+* :func:`heat_prefactor` -- the norm and prefactor of H_tau, without its
+  quadratic form: what the localization check reads.
 * :func:`heat_equation_residual` -- the heat equation for the kernel with a
   formal time parameter, as one symmetric matrix of a quadratic form in
   (1, X, Y); it vanishes exactly.
@@ -89,13 +97,22 @@ class CurvatureMatrix:
 
 # -- power series over one power list ------------------------------------------------
 #
-# Each series is a list of coefficients c_k of z^k; a matrix function of M is
-# sum_k c_k M^k over the list of powers of M, computed once per kernel.
+# Each series is a list of coefficients c_k of z^k.  sinh(z)/z, z coth z,
+# z csch z and log(sinh(z)/z) are even, so a matrix function of M is
+# sum_k c_2k (M^2)^k over the one list of powers of M^2, computed once per
+# kernel; the odd part of exp(z) z csch(z) is M times such a sum.
 
 
 def _sinhc_coeffs(n):
     """sinh(z)/z = sum z^k / (k+1)! over even k."""
     return [Fraction(1 - k % 2, math.factorial(k + 1)) for k in range(n)]
+
+
+def _log_sinhc_coeffs(n):
+    """log(sinh(z)/z) = sum 2^k B_k z^k / (k k!) over even k >= 2."""
+    b = bernoulli_numbers(n)
+    return [Fraction(0)] + [Fraction(2 ** k * (1 - k % 2)) * b[k] / (k * math.factorial(k))
+                            for k in range(1, n)]
 
 
 def _zcoth_coeffs(n):
@@ -122,24 +139,24 @@ def _cauchy(a, b):
             for k in range(len(a))]
 
 
-def _mat_log_trace(S):
-    """trace log S for S = I + nilpotent."""
-    powers = mat_powers(S - FormMatrix.identity(S.table, S.shape[0]))
-    acc = S.table.zero()
-    for k in range(1, len(powers)):
-        acc = acc + powers[k].trace().scale(Fraction(1 if k % 2 else -1, k))
-    return acc
+def _even_powers(M):
+    """[I, M^2, M^4, ...] up to the last nonzero power: all that a series
+    even in M reads."""
+    return mat_powers(M @ M)
 
 
 def a_hat(R):
     """The characteristic form det^(1/2)((R/2)/sinh(R/2)).
 
-    Computed as exp(-1/2 tr log(sinh(R/2)/(R/2))); even, constant term 1,
-    only degrees divisible by four occur.
+    Computed as exp(-1/2 tr log(sinh(M)/M)) for M = R/2, the log series
+    summed as sum_k c_2k tr M^2k over the powers of M^2; even, constant
+    term 1, only degrees divisible by four occur.
     """
-    powers = mat_powers(R.mat.scale(Fraction(1, 2)))
-    S = power_sum(powers, _sinhc_coeffs(len(powers)))
-    return exp_nilpotent(_mat_log_trace(S).scale(Fraction(-1, 2)))
+    powers = _even_powers(R.mat.scale(Fraction(1, 2)))
+    log_a_hat = R.table.zero()
+    for power, c in zip(powers[1:], _log_sinhc_coeffs(2 * len(powers))[2::2]):
+        log_a_hat += power.trace().scale(c * Fraction(-1, 2))
+    return exp_nilpotent(log_a_hat)
 
 
 # -- determinant and solve by one elimination -------------------------------------------
@@ -276,9 +293,9 @@ class GaussianKernel:
 
 
 def _kernel_parts(tau, R, formal):
-    """What the one- and two-point kernels share: 1/tau, the powers of
-    tau R/2, the norm, the prefactor det^(-1/2)(sinh(tau R/2)/(tau R/2)) and
-    the X-X block (1/(2 tau)) (tau R/2) coth(tau R/2)."""
+    """What the one- and two-point kernels share: 1/tau, M = tau R/2, the
+    even powers of M, the norm and the prefactor det^(-1/2)(sinh(M)/M).
+    The boundary supertrace reads the norm and prefactor alone."""
     if formal:
         tau = TauPoly.var(1)
     else:
@@ -286,16 +303,19 @@ def _kernel_parts(tau, R, formal):
         if complex(tau).real <= 0:
             raise ValueError("time parameter must be positive")
     d = R.d
-    half = QC(Fraction(1, 2))
-    powers = mat_powers(R.mat.scale(tau * half))
-    n = len(powers)
-    inv_tau = tau ** -1
-    xx = power_sum(powers, _zcoth_coeffs(n)).scale(inv_tau * half)
-    det, _ = _eliminate(power_sum(powers, _sinhc_coeffs(n)),
+    M = R.mat.scale(tau * QC(Fraction(1, 2)))
+    even = _even_powers(M)
+    det, _ = _eliminate(power_sum(even, _sinhc_coeffs(2 * len(even))[::2]),
                         FormMatrix.zero(R.table, d, 0))
     scalar, prefactor = _det_invsqrt(det)
     norm = scalar * QC(Fraction(1, 4 ** (d // 2))) * tau ** -(d // 2)
-    return inv_tau, powers, norm, prefactor, xx
+    return tau ** -1, M, even, norm, prefactor
+
+
+def _xx_block(inv_tau, even):
+    """The X-X block (1/(2 tau)) (tau R/2) coth(tau R/2)."""
+    return power_sum(even, _zcoth_coeffs(2 * len(even))[::2]) \
+        .scale(inv_tau * QC(Fraction(1, 2)))
 
 
 def mehler_kernel(tau, R, formal=False):
@@ -305,19 +325,29 @@ def mehler_kernel(tau, R, formal=False):
     coefficients are Laurent polynomials in it, which supports exact
     differentiation in the heat-equation check.
     """
-    inv_tau, powers, norm, prefactor, xx = _kernel_parts(tau, R, formal)
-    n = len(powers)
-    # exp(M) zcsch(M) is one series in M
-    xy = power_sum(powers, _cauchy(_exp_coeffs(n), _zcsch_coeffs(n))) \
+    inv_tau, M, even, norm, prefactor = _kernel_parts(tau, R, formal)
+    n = 2 * len(even)
+    # exp(M) zcsch(M) is one series in M; its odd part is M times a series in M^2
+    c = _cauchy(_exp_coeffs(n), _zcsch_coeffs(n))
+    xy = (power_sum(even, c[::2]) + M @ power_sum(even, c[1::2])) \
         .scale(inv_tau * QC(Fraction(-1, 2)))
+    xx = _xx_block(inv_tau, even)
     return GaussianKernel(R.table, R.d, norm, -(R.d // 2), prefactor, xx, xy, xx)
 
 
 def heat_element(tau, R, formal=False):
     """One-point heat element H_tau(X), the two-point kernel at Y = 0,
     built without the X-Y and Y-Y blocks."""
-    _, _, norm, prefactor, xx = _kernel_parts(tau, R, formal)
-    return GaussianKernel(R.table, R.d, norm, -(R.d // 2), prefactor, xx)
+    inv_tau, _, even, norm, prefactor = _kernel_parts(tau, R, formal)
+    return GaussianKernel(R.table, R.d, norm, -(R.d // 2), prefactor,
+                          _xx_block(inv_tau, even))
+
+
+def heat_prefactor(tau, R):
+    """(norm, prefactor) of H_tau, all that :func:`str_zero` reads of it,
+    built without the X-X block."""
+    _, _, _, norm, prefactor = _kernel_parts(tau, R, False)
+    return norm, prefactor
 
 
 def kappa_form(X, Y, R, coeff=None):

@@ -47,7 +47,7 @@ class GeneratorTable:
 
     * the signed product of an ordered pair of monomials
       (:meth:`mono_product`, a ``(monomial, sign)`` pair), read by every
-      form product through :func:`sum_of_products` and by ``barcomplex.b1``;
+      form product through :func:`_mul_into` and by ``barcomplex.b1``;
     * the terms of ``d`` of a monomial (:meth:`mono_d`, a tuple of
       ``(monomial, coefficient)`` pairs), read by :meth:`FormElement.d` and
       :meth:`mono_d_T`;
@@ -501,9 +501,20 @@ def check_dga(table):
 
 
 def _add_term(out, mono, c):
-    """Add ``c`` to the coefficient of ``mono`` in ``out``, dropping it when
-    the sum cancels."""
-    s = out.get(mono, QC_ZERO) + c
+    """Add the nonzero ``c`` to the coefficient of ``mono`` in ``out``,
+    dropping it when the sum cancels.
+
+    An exact ``c`` for a monomial not yet in ``out`` is stored as it is.
+    Any other starts from 0 + c, as a sum does, so that a float product
+    that underflowed to zero is dropped and a zero part loses its sign.
+    """
+    s = out.get(mono)
+    if s is None:
+        if type(c) is QC:
+            out[mono] = c
+            return
+        s = QC_ZERO
+    s = s + c
     if iszero(s):
         out.pop(mono, None)
     else:
@@ -526,22 +537,17 @@ def _mul_into(out, table, ta, tb):
             if sign < 0:
                 c = -c
             # _add_term, inlined: this is the innermost loop of every product
-            s = out.get(mono, QC_ZERO) + c
+            s = out.get(mono)
+            if s is None:
+                if type(c) is QC:
+                    out[mono] = c
+                    continue
+                s = QC_ZERO
+            s = s + c
             if iszero(s):
                 out.pop(mono, None)
             else:
                 out[mono] = s
-
-
-def sum_of_products(table, pairs):
-    """sum a * b over the (a, b) pairs of FormElements over ``table``,
-    accumulated in one term map."""
-    out = {}
-    for a, b in pairs:
-        if a.table is not table or b.table is not table:
-            raise TableMismatchError("elements over different generator tables")
-        _mul_into(out, table, a.terms, b.terms)
-    return FormElement._nonzero(table, out)
 
 
 # -- series utilities on nilpotent elements ----------------------------------------

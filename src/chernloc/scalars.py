@@ -479,11 +479,18 @@ class PiScalar:
     __repr__ = __str__
 
 
+# (-i)^m by m mod 4, as (real, imaginary) parts
+_MINUS_I_POWERS = ((1, 0), (0, -1), (-1, 0), (0, 1))
+
+
 def two_over_i_pow(d):
-    """(2/i)^(d/2) = (-2i)^(d/2) for even d, as an exact QC."""
-    if d % 2:
-        raise ValueError("dimension must be even")
-    return QC(0, -2) ** (d // 2)
+    """(2/i)^(d/2) = (-2i)^(d/2) = 2^(d/2) (-i)^(d/2) for even d >= 0, as an
+    exact QC."""
+    if d % 2 or d < 0:
+        raise ValueError("dimension must be even and nonnegative")
+    m = d // 2
+    re, im = _MINUS_I_POWERS[m % 4]
+    return QC(re << m, im << m)
 
 
 def two_pi_i_inv_pow(d):

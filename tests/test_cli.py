@@ -125,6 +125,26 @@ def test_localize_cli(tmp_path, capsys):
     assert doc["ok"] and doc["exact_equal"]
 
 
+def test_localize_cli_d6_letter_with_two_homogeneous_parts(tmp_path, capsys):
+    # the d = 6 case of the README examples in CI
+    path = tmp_path / "case6.json"
+    path.write_text(json.dumps({
+        "d": 6,
+        "generators": ["u", "v", "w"],
+        "R": [["0", "u", "0", "0", "0", "w"],
+              ["-u", "0", "0", "0", "0", "0"],
+              ["0", "0", "0", "v", "0", "0"],
+              ["0", "0", "-v", "0", "0", "0"],
+              ["0", "0", "0", "0", "0", "w"],
+              ["-w", "0", "0", "0", "-w", "0"]],
+        "word": ["sigma u + sigma u v"],
+    }))
+    code, doc = run_cli(capsys, ["localize", str(path)])
+    assert code == 0
+    assert doc["ok"] is True and doc["exact_equal"]
+    assert doc["patterns"] == 2 and doc["lhs"] != "0"
+
+
 def test_torus_cli(capsys):
     code, doc = run_cli(capsys, ["torus", "--t-grid", "0.1,0.05",
                                  "--beta", "0.5"])

@@ -90,3 +90,18 @@ def test_power_series_truncates_by_nilpotency():
     assert mat_powers(n) == [FormMatrix.identity(t, 2), n, n @ n]
     assert (n @ n @ n).is_zero()
     assert mat_powers(FormMatrix.zero(t, 2)) == [FormMatrix.identity(t, 2)]
+
+
+@pytest.mark.parametrize("entry, i, j", [("1", 0, 0), ("2 + u", 1, 0)])
+def test_powers_reject_a_constant_term_by_entry(entry, i, j):
+    # a constant term makes the powers never vanish, so the list would not end
+    t = table4()
+    rows = [["u", "0"], ["0", "sigma u"]]
+    rows[i][j] = entry
+    mat = FormMatrix.parse(t, rows)
+    with pytest.raises(ValueError, match=rf"entry \({i}, {j}\) = .*constant term"):
+        mat_powers(mat)
+    with pytest.raises(ValueError, match="constant term"):
+        mat_exp_nilpotent(mat)
+    with pytest.raises(ValueError, match=r"entry \(0, 0\)"):
+        mat_exp_nilpotent(FormMatrix.identity(t, 2))

@@ -256,6 +256,14 @@ def test_chern_engines_agree_on_random_words():
         assert abs(ex - qd) < 1e-8 * max(1.0, abs(ex))
         compared += 1
     assert compared >= 8
+    # random words rarely reach the supertrace through a two-slot block;
+    # in each of these c(a) c(b) != c(ab) for an adjacent pair a, b does,
+    # so a wrong sign on the F2 blocks changes the value
+    for text in (["x", "y"], ["u", "u"], ["x y", "u"], ["sigma u", "x", "y"]):
+        chain = BarChain.from_word(t, tuple(t.parse(w) for w in text))
+        ex = chern_t(m, 0.7, chain)
+        assert abs(ex) > 0.01, text
+        assert abs(ex - chern_by_splittings(m, 0.7, chain)) < 1e-8 * abs(ex), text
 
 
 def test_chern_rejects_nonpositive_t():

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -11,7 +12,7 @@ from chernloc.mehler import (KAPPA_COEFF, CurvatureMatrix, GaussianKernel,
                              kernel_max_residual, mehler_kernel,
                              solve_kappa_constant, str_zero, twist_factor,
                              twisted_convolve)
-from chernloc.multiform import GeneratorTable
+from chernloc.multiform import GeneratorTable, exp_nilpotent
 from chernloc.scalars import (QC, PiScalar, TauPoly, is_exact, two_over_i_pow,
                               two_pi_i_inv_pow)
 
@@ -57,6 +58,60 @@ def test_a_hat_random_curvatures():
         assert ah.constant_term() == QC(1)
         for mono in ah.terms:
             assert table.mono_degree(mono) % 4 == 0
+
+
+def _a_hat_by_matrix_log(R):
+    """Oracle: exp(-1/2 tr log S) with S = sinh(M)/M for M = R/2 formed as a
+    matrix, and tr log S = sum_k (-1)^(k+1) tr (S - I)^k / k, each power list
+    built by multiplying until the power is zero."""
+    table, d = R.table, R.d
+    ident = FormMatrix.identity(table, d)
+
+    def powers(mat):
+        out = [ident]
+        while True:
+            power = out[-1] @ mat
+            if power.is_zero():
+                return out
+            out.append(power)
+
+    S = ident
+    for k, power in enumerate(powers(R.mat.scale(Fraction(1, 2)))):
+        if k and k % 2 == 0:
+            S = S + power.scale(Fraction(1, math.factorial(k + 1)))
+    log_tr = table.zero()
+    for k, power in enumerate(powers(S - ident)):
+        if k:
+            log_tr = log_tr + power.trace().scale(Fraction((-1) ** (k + 1), k))
+    return exp_nilpotent(log_tr.scale(Fraction(-1, 2)))
+
+
+def _mehler_document_curvature():
+    """The degree-4 ``mehler`` document: entry (0, 1) is u + u v."""
+    table = GeneratorTable(4)
+    table.add_generator("u", 2)
+    table.add_generator("v", 2)
+    return CurvatureMatrix.from_rows(table, [["0", "u + u v", "0", "0"],
+                                             ["-u - u v", "0", "0", "0"],
+                                             ["0", "0", "0", "v"],
+                                             ["0", "0", "-v", "0"]])
+
+
+@pytest.mark.parametrize("d", [2, 4, 6, 8])
+def test_a_hat_matches_the_matrix_log_oracle(d):
+    # d = 8 is the least dimension where tr M^4 reaches the top degree, so
+    # only there does the z^4 coefficient of log(sinh(z)/z) show
+    rng = random.Random(d)
+    table = GeneratorTable(d)
+    for name in ("u", "v", "w"):
+        table.add_generator(name, 2)
+    cases = [_curvature(d), random_antisymmetric_curvature(table, d, rng)]
+    if d == 4:
+        cases.append(_mehler_document_curvature())
+    for R in cases:
+        assert a_hat(R) == _a_hat_by_matrix_log(R)
+    if d == 8:
+        assert not a_hat(cases[0]).homogeneous_parts()[8].is_zero()
 
 
 # -- the kernel and its flat limit ------------------------------------------------------

@@ -89,6 +89,19 @@ def test_power_sum_matches_scaled_sums(seed, floats, n):
     assert power_sum(powers, coeffs) == expected
 
 
+@given(seeds, inexact, st.integers(1, 4))
+def test_mat_powers_match_multiplying_until_zero(seed, floats, n):
+    # random_form mixes degrees and puts sigma in about 40% of the terms
+    rng = random.Random(seed)
+    table = random_table(rng)
+    mat = _matrix(table, rng, n, n, floats)
+    mat = mat.map_entries(lambda e: e - e.constant_term())
+    naive = [FormMatrix.identity(table, n)]
+    while not naive_matmul(naive[-1], mat).is_zero():
+        naive.append(naive_matmul(naive[-1], mat))
+    assert mat_powers(mat) == naive
+
+
 @given(seeds, inexact)
 def test_d_is_a_derivation_and_d_T_is_d_minus_iota(seed, floats):
     rng = random.Random(seed)

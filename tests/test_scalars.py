@@ -82,6 +82,13 @@ def test_supertrace_constants():
         assert lhs == two_pi_i_inv_pow(d)
     with pytest.raises(ValueError):
         two_over_i_pow(3)
+    with pytest.raises(ValueError):
+        two_over_i_pow(-2)
+    # the closed form against repeated products of -2i
+    power = QC(1)
+    for d in range(0, 42, 2):
+        assert two_over_i_pow(d) == power
+        power = power * QC(0, -2)
 
 
 def test_bernoulli_values():
