@@ -24,7 +24,7 @@ from math import factorial
 from .mehler import (CurvatureMatrix, a_hat, coefficient_gap, heat_prefactor,
                      str_zero)
 from .multiform import FormElement
-from .scalars import QC, PiScalar, two_pi_i_inv_pow
+from .scalars import QC, two_pi_i_inv_pow
 
 
 def symbol_of_F(*thetas):
@@ -77,31 +77,17 @@ def localized_term(case):
     all-singleton splitting returns
     str_zero(theta''_1 ^ ... ^ theta''_N ^ H_1) times the simplex volume 1/N!.
     """
-    wedge = _symbol_wedge(case)
-    if wedge.is_zero():
-        return wedge
-    return _boundary_value(wedge, case.d, len(case.word), *heat_prefactor(1, case.R))
-
-
-def _symbol_wedge(case):
-    """The product of the block symbols of a splitting: theta''_1 ^ ... ^
-    theta''_N for the all-singleton one, zero for any other."""
     table = case.R.table
-    if len(case.gaps) < len(case.word):
+    n = len(case.word)
+    if len(case.gaps) < n:
         return table.zero()
     wedge = table.one()
     for theta in case.word:
         wedge = wedge * symbol_of_F(theta)
         if wedge.is_zero():
-            break
-    return wedge
-
-
-def _boundary_value(wedge, d, n, norm, prefactor):
-    """str_zero of the wedge times H_1 = norm pi^(-d/2) prefactor at the
-    origin, times the simplex volume 1/n!."""
-    return str_zero(wedge * prefactor).scale(PiScalar(norm, -(d // 2))) \
-        .scale(QC(1) / factorial(n))
+            return table.zero()
+    kernel = heat_prefactor(1, case.R).scale_prefactor(wedge)
+    return str_zero(kernel).scale(QC(1) / factorial(n))
 
 
 def _gap_patterns(n):
@@ -164,16 +150,12 @@ def limit_theorem_check(d, R, word):
     lhs = table.zero()
     patterns = 0
     zeros_ok = True
-    time_one = None   # (norm, prefactor) of H_1, built once when first read
     hom_words = _homogeneous_words(table, word)
     for coeff, hw in hom_words:
         n = len(hw)
         for gaps in _gap_patterns(n):
-            value = _symbol_wedge(LocalizationCase(d, R, hw, gaps))
-            if not value.is_zero():
-                if time_one is None:
-                    time_one = heat_prefactor(1, R)
-                value = _boundary_value(value, d, n, *time_one)
+            case = LocalizationCase(d, R, hw, gaps)
+            value = localized_term(case)
             patterns += 1
             if len(gaps) < n and not value.is_zero():
                 zeros_ok = False

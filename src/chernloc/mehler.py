@@ -23,8 +23,8 @@ Main objects:
 * :func:`mehler_kernel` -- the two-point oscillator heat kernel.
 * :func:`heat_element` -- its one-point boundary restriction H_tau(X),
   built from the shared X-X data alone.
-* :func:`heat_prefactor` -- the norm and prefactor of H_tau, without its
-  quadratic form: what the localization check reads.
+* :func:`heat_prefactor` -- H_tau without its quadratic form: the norm and
+  prefactor, what the localization check reads.
 * :func:`heat_equation_residual` -- the heat equation for the kernel with a
   formal time parameter, as one symmetric matrix of a quadratic form in
   (1, X, Y); it vanishes exactly.
@@ -139,12 +139,6 @@ def _cauchy(a, b):
             for k in range(len(a))]
 
 
-def _even_powers(M):
-    """[I, M^2, M^4, ...] up to the last nonzero power: all that a series
-    even in M reads."""
-    return mat_powers(M @ M)
-
-
 def a_hat(R):
     """The characteristic form det^(1/2)((R/2)/sinh(R/2)).
 
@@ -152,7 +146,8 @@ def a_hat(R):
     summed as sum_k c_2k tr M^2k over the powers of M^2; even, constant
     term 1, only degrees divisible by four occur.
     """
-    powers = _even_powers(R.mat.scale(Fraction(1, 2)))
+    M = R.mat.scale(Fraction(1, 2))
+    powers = mat_powers(M @ M)
     log_a_hat = R.table.zero()
     for power, c in zip(powers[1:], _log_sinhc_coeffs(2 * len(powers))[2::2]):
         log_a_hat += power.trace().scale(c * Fraction(-1, 2))
@@ -233,8 +228,9 @@ class GaussianKernel:
 
     Q = [[xx, xy], [xy^T, yy]] is held as its d x d FormMatrix blocks, whose
     constant parts are the numeric Gaussian data.  A one-variable kernel
-    f(X) has ``xy`` and ``yy`` None.  The prefactor is a form, constant in
-    X and Y.
+    f(X) has ``xy`` and ``yy`` None; :func:`heat_prefactor` also leaves
+    ``xx`` None, for the boundary supertrace alone.  The prefactor is a
+    form, constant in X and Y.
     """
 
     __slots__ = ("table", "d", "norm", "pi_pow", "prefactor", "xx", "xy", "yy")
@@ -304,7 +300,7 @@ def _kernel_parts(tau, R, formal):
             raise ValueError("time parameter must be positive")
     d = R.d
     M = R.mat.scale(tau * QC(Fraction(1, 2)))
-    even = _even_powers(M)
+    even = mat_powers(M @ M)
     det, _ = _eliminate(power_sum(even, _sinhc_coeffs(2 * len(even))[::2]),
                         FormMatrix.zero(R.table, d, 0))
     scalar, prefactor = _det_invsqrt(det)
@@ -344,10 +340,10 @@ def heat_element(tau, R, formal=False):
 
 
 def heat_prefactor(tau, R):
-    """(norm, prefactor) of H_tau, all that :func:`str_zero` reads of it,
-    built without the X-X block."""
+    """H_tau without its quadratic form (``xx`` None): the norm and
+    prefactor, all that :func:`str_zero` reads of it."""
     _, _, _, norm, prefactor = _kernel_parts(tau, R, False)
-    return norm, prefactor
+    return GaussianKernel(R.table, R.d, norm, -(R.d // 2), prefactor, None)
 
 
 def kappa_form(X, Y, R, coeff=None):

@@ -5,6 +5,7 @@ import pytest
 
 from chernloc.localize import (LocalizationCase, limit_theorem_check,
                                localized_term, symbol_of_F)
+from chernloc.formmatrix import FormMatrix
 from chernloc.mehler import CurvatureMatrix, a_hat
 from chernloc.multiform import GeneratorTable
 from chernloc.sampling import random_form
@@ -162,6 +163,45 @@ def test_limit_theorem_float_words_at_d6_take_the_residual_branch():
             assert not rep.exact_equal
             assert rep.residual > 0.0
     assert inexact >= 1
+
+
+def test_limit_theorem_float_curvature_at_d6_takes_the_residual_branch():
+    # Â traces the log series of sinh(z)/z over the powers of (R/2)^2, the
+    # left side takes det^(-1/2)(sinh(R/2)/(R/2)) by elimination; on float
+    # curvature the two round apart in the last place
+    table = GeneratorTable(6)
+    for name in ("u", "v", "w"):
+        table.add_generator(name, 2)
+    gens = [table.gen(name) for name in ("u", "v", "w")]
+    rows = [[table.zero()] * 6 for _ in range(6)]
+    for i in range(6):
+        for j in range(i + 1, 6):
+            rows[i][j] = gens[(i + j) % 3].scale(0.3)
+            rows[j][i] = -rows[i][j]
+    R = CurvatureMatrix(table, 6, FormMatrix(table, rows))
+    A = a_hat(R)
+    for gen in gens:
+        (square,) = (gen * gen).terms
+        assert abs(complex(A.coefficient(square)) - 0.01875) < 1e-17
+    rep = limit_theorem_check(6, R, (table.sigma() * gens[0],))
+    assert rep.ok
+    assert rep.lhs != rep.rhs and not rep.exact_equal
+    assert 0.0 < rep.residual <= 1e-19
+
+
+def test_limit_theorem_skips_the_quadratic_form_series(curvature_d4, monkeypatch):
+    import chernloc.mehler as mh
+    table, R = curvature_d4
+    s, u, v = table.sigma(), table.gen("u"), table.gen("v")
+    want = limit_theorem_check(4, R, (s * u, s * v)).as_dict()
+    assert want["lhs"] != "0"
+
+    def refuse(n):
+        raise AssertionError("a quadratic-form series was evaluated")
+
+    monkeypatch.setattr(mh, "_zcoth_coeffs", refuse)
+    monkeypatch.setattr(mh, "_zcsch_coeffs", refuse)
+    assert limit_theorem_check(4, R, (s * u, s * v)).as_dict() == want
 
 
 def test_limit_theorem_rejects_a_fiber_dimension_other_than_R(curvature_d4):
