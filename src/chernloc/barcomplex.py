@@ -9,13 +9,15 @@ computations.
 Degree bookkeeping follows the shifted convention
 ``n_k = |theta_1| + ... + |theta_k| - k`` for words of homogeneous entries.
 
-Every chain operation (``from_words``, ``+``, ``b0``, ``b1``,
-``cyclic_symmetrize``) adds its output terms into one dict through
-:func:`_accumulate`, which drops an entry as soon as its sum cancels, and
-wraps that dict once without copying or rescanning it.  The cost is linear in
-the number of terms produced.  ``b0`` and ``b1`` read the per-monomial
-``d_T`` and product memos of the :class:`GeneratorTable`, which the table
-clears whenever a generator or a differential changes.
+A :class:`BarChain` is a ``multiform.TermMap`` over its generator table,
+so it shares the linear structure of forms.  Every chain operation
+(``from_words``, ``+``, ``-``, ``b0``, ``b1``, ``cyclic_symmetrize``) adds
+its output terms into one dict through ``multiform._add_term``, which drops
+an entry as soon as its sum cancels, and wraps that dict once without
+copying or rescanning it.  The cost is linear in the number of terms
+produced.  ``b0`` and ``b1`` read the per-monomial ``d_T`` and product
+memos of the :class:`GeneratorTable`, which the table clears whenever a
+generator or a differential changes.
 """
 
 from __future__ import annotations
@@ -24,13 +26,13 @@ from math import factorial
 
 import numpy as np
 
-from .multiform import FormElement
+from .multiform import FormElement, TermMap, _add_term
 from .scalars import QC, QC_ONE, QC_ZERO, coerce, iszero
 
 # -- chains -------------------------------------------------------------------
 
 
-class BarChain:
+class BarChain(TermMap):
     """Formal linear combination of bar words over one generator table.
 
     Internally a word is a tuple of monomials (each slot homogeneous by
@@ -56,6 +58,9 @@ class BarChain:
         chain.terms = terms
         return chain
 
+    # bound in this class body, where the benchmark's tracer looks it up
+    __add__ = TermMap.__add__
+
     # -- constructors -----------------------------------------------------
     @classmethod
     def zero(cls, table):
@@ -74,63 +79,16 @@ class BarChain:
             if iszero(coeff):
                 continue
             expansions = [((), coeff)]
-            dead = False
             for entry in word:
                 if not isinstance(entry, FormElement):
                     raise TypeError("word entries must be FormElements")
                 if entry.table is not table:
                     raise ValueError("word entry over a different table")
-                if entry.is_zero():
-                    dead = True
-                    break
-                new = []
-                for prefix, c in expansions:
-                    for mono, mc in entry.terms.items():
-                        new.append((prefix + (mono,), c * mc))
-                expansions = new
-            if dead:
-                continue
+                expansions = [(prefix + (mono,), c * mc) for prefix, c in expansions
+                              for mono, mc in entry.terms.items()]
             for key, c in expansions:
-                # a product of nonzero floats may underflow to zero
-                if not iszero(c):
-                    _accumulate(out, key, c)
+                _add_term(out, key, c)
         return cls._wrap(table, out)
-
-    # -- linear structure ----------------------------------------------------
-    def __add__(self, other):
-        if not isinstance(other, BarChain):
-            return NotImplemented
-        if self.table is not other.table:
-            raise ValueError("chains over different tables")
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            _accumulate(out, w, c)
-        return BarChain._wrap(self.table, out)
-
-    def __neg__(self):
-        return BarChain._wrap(self.table, {w: -c for w, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, c):
-        c = coerce(c)
-        if iszero(c):
-            return BarChain.zero(self.table)
-        return BarChain(self.table, {w: c * v for w, v in self.terms.items()})
-
-    def is_zero(self):
-        return not self.terms
-
-    def __eq__(self, other):
-        if isinstance(other, BarChain):
-            return self.table is other.table and self.terms == other.terms
-        if other == 0:
-            return self.is_zero()
-        return NotImplemented
-
-    def __iter__(self):
-        return iter(self.terms.items())
 
     def __len__(self):
         return len(self.terms)
@@ -162,17 +120,12 @@ class BarChain:
     __repr__ = __str__
 
 
-def _shifted_prefix_parities(table, word):
-    """Parities of n_k = |m_1| + ... + |m_k| - k for k = 0..N."""
-    out = [0]
-    acc = 0
-    for mono in word:
-        acc += table.mono_degree(mono) - 1
-        out.append(acc & 1)
-    return out
+# the table is the TermMap context, read straight from its slot
+BarChain.context = BarChain.table
 
 
 def _prefix_degrees(table, word):
+    """The shifted degrees n_k = |m_1| + ... + |m_k| - k for k = 0..N."""
     out = [0]
     acc = 0
     for mono in word:
@@ -181,30 +134,20 @@ def _prefix_degrees(table, word):
     return out
 
 
-def _accumulate(acc, word, c):
-    """acc[word] += c for a nonzero c, dropping the entry if the sum cancels."""
-    if word in acc:
-        c = acc[word] + c
-        if iszero(c):
-            del acc[word]
-            return
-    acc[word] = c
-
-
 def b0(chain):
     """Differential induced by d_T with signs (-1)^(n_{k-1})."""
     table = chain.table
     out = {}
     for word, coeff in chain.terms.items():
-        pars = _shifted_prefix_parities(table, word)
+        degs = _prefix_degrees(table, word)
         for k, mono in enumerate(word):
             dtheta = table.mono_d_T(mono)
             if not dtheta:
                 continue
-            sign_coeff = -coeff if pars[k] else coeff
+            sign_coeff = -coeff if degs[k] & 1 else coeff
             head, tail = word[:k], word[k + 1:]
             for m2, mc in dtheta:
-                _accumulate(out, head + (m2,) + tail, sign_coeff * mc)
+                _add_term(out, head + (m2,) + tail, sign_coeff * mc)
     return BarChain._wrap(table, out)
 
 
@@ -213,7 +156,7 @@ def b1(chain):
     table = chain.table
     out = {}
     for word, coeff in chain.terms.items():
-        pars = _shifted_prefix_parities(table, word)
+        degs = _prefix_degrees(table, word)
         neg = -coeff
         for k in range(len(word) - 1):
             mono, sign = table.mono_product(word[k], word[k + 1])
@@ -221,8 +164,8 @@ def b1(chain):
                 continue
             # (-1)^(n + 1), n the shifted degree through the left factor,
             # times the Koszul sign of the product
-            c = coeff if (pars[k + 1] == 1) == (sign > 0) else neg
-            _accumulate(out, word[:k] + (mono,) + word[k + 2:], c)
+            c = coeff if (degs[k + 1] & 1) == (sign > 0) else neg
+            _add_term(out, word[:k] + (mono,) + word[k + 2:], c)
     return BarChain._wrap(table, out)
 
 
@@ -240,7 +183,7 @@ def cyclic_symmetrize(chain):
     for word, coeff in chain.terms.items():
         n = len(word)
         if n == 0:
-            _accumulate(out, word, coeff)
+            _add_term(out, word, coeff)
             continue
         degs = _prefix_degrees(table, word)
         n_total = degs[n]
@@ -248,7 +191,7 @@ def cyclic_symmetrize(chain):
         for k in range(n):
             nk = degs[k]
             c = neg if (nk * (n_total - nk)) & 1 else coeff
-            _accumulate(out, word[k:] + word[:k], c)
+            _add_term(out, word[k:] + word[:k], c)
     return BarChain._wrap(table, out)
 
 

@@ -20,7 +20,7 @@ from functools import lru_cache, reduce
 
 import numpy as np
 
-from .multiform import SIGMA_ID, FormElement, GeneratorTable, _add_term
+from .multiform import SIGMA_ID, FormElement, GeneratorTable, TermMap, _add_term
 from .scalars import QC_ONE, QC_ZERO, coerce, iszero, two_over_i_pow
 
 
@@ -44,10 +44,11 @@ def blade_product(a, b):
     return a ^ b, -1 if swaps & 1 else 1
 
 
-class CliffordElement:
+class CliffordElement(TermMap):
     """Sparse Clifford algebra element keyed by basis-subset bitmasks."""
 
     __slots__ = ("dim", "terms")
+    _CONTEXT = "dimensions"
 
     def __init__(self, dim, terms=None):
         self.dim = int(dim)
@@ -58,7 +59,7 @@ class CliffordElement:
                 self.terms[int(mask)] = c
 
     @classmethod
-    def _nonzero(cls, dim, terms):
+    def _wrap(cls, dim, terms):
         """Wrap ``terms`` that hold no zero coefficient, without re-filtering."""
         out = cls.__new__(cls)
         out.dim = dim
@@ -89,42 +90,11 @@ class CliffordElement:
             mask |= bit
         return cls(dim, {mask: coeff})
 
-    def is_zero(self):
-        return not self.terms
-
     def order(self):
         """Clifford order: the largest populated subset size (-1 if zero)."""
         if not self.terms:
             return -1
         return max(m.bit_count() for m in self.terms)
-
-    def _check(self, other):
-        if self.dim != other.dim:
-            raise ValueError("Clifford elements of different dimension")
-
-    def __add__(self, other):
-        if not isinstance(other, CliffordElement):
-            return NotImplemented
-        self._check(other)
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            _add_term(out, m, c)
-        return CliffordElement._nonzero(self.dim, out)
-
-    def __neg__(self):
-        return CliffordElement._nonzero(self.dim, {m: -c for m, c in self.terms.items()})
-
-    def __sub__(self, other):
-        if not isinstance(other, CliffordElement):
-            return NotImplemented
-        self._check(other)
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            _add_term(out, m, -c)
-        return CliffordElement._nonzero(self.dim, out)
-
-    def scale(self, c):
-        return CliffordElement(self.dim, {m: c * v for m, v in self.terms.items()})
 
     def __mul__(self, other):
         if not isinstance(other, CliffordElement):
@@ -136,14 +106,7 @@ class CliffordElement:
                 mask, sign = blade_product(ma, mb)
                 c = ca * cb
                 _add_term(out, mask, c if sign > 0 else -c)
-        return CliffordElement._nonzero(self.dim, out)
-
-    def __eq__(self, other):
-        if isinstance(other, CliffordElement):
-            return self.dim == other.dim and self.terms == other.terms
-        if other == 0:
-            return self.is_zero()
-        return NotImplemented
+        return CliffordElement._wrap(self.dim, out)
 
     def __hash__(self):
         return hash((self.dim, tuple(sorted(self.terms.items(), key=lambda kv: kv[0]))))
@@ -156,6 +119,10 @@ class CliffordElement:
         return " + ".join(parts) or "0"
 
     __repr__ = __str__
+
+
+# the dimension is the TermMap context, read straight from its slot
+CliffordElement.context = CliffordElement.dim
 
 
 # -- quantization map and symbols -------------------------------------------------
@@ -190,7 +157,7 @@ def symbol(a, k=None):
     symbol.  Components above the Clifford order vanish.
     """
     bits = range(a.dim)
-    return FormElement._nonzero(exterior_table(a.dim), {
+    return FormElement._wrap(exterior_table(a.dim), {
         tuple(i + 1 for i in bits if mask >> i & 1): coeff
         for mask, coeff in a.terms.items()
         if k is None or mask.bit_count() == k})

@@ -116,7 +116,7 @@ class FormMatrix:
                     tb = col.get(k)
                     if tb is not None:
                         _mul_into(out, table, ta, tb)
-                out_row.append(FormElement._nonzero(table, out))
+                out_row.append(FormElement._wrap(table, out))
             out_rows.append(out_row)
         return FormMatrix(table, out_rows)
 
@@ -235,7 +235,7 @@ def power_sum(powers, coeffs):
             for c, prows in scaled:
                 for mono, v in prows[i][j].terms.items():
                     _add_term(out, mono, c * v)
-            row.append(FormElement._nonzero(table, out))
+            row.append(FormElement._wrap(table, out))
         rows.append(row)
     return FormMatrix(table, rows)
 

@@ -353,22 +353,18 @@ def chern_t(model, t, target):
     or two contributes
     (-1)^k  t^(|theta| - N + 2k)  int_simplex Str(e^(-t^2 tau_1 Q^2)
     prod_p F(block_p) e^(-t^2 (tau_{p+1}-tau_p) Q^2)) dtau,
-    and all splittings are summed in one block exponential.
+    and all splittings are summed in one block exponential.  The value is
+    multilinear in the word, so a word of forms, form matrices or monomials
+    is evaluated as it stands, without expanding it into monomial words.
     """
     if t <= 0:
         raise ValueError("the scaling parameter must be positive")
-    table = model.table
     if isinstance(target, BarChain):
         total = 0j
         for word, coeff in target.terms.items():
             total += complex(coeff) * chern_t(model, t, word)
         return total
-    if isinstance(target, tuple) and target and isinstance(target[0], FormElement):
-        return chern_t(model, t, BarChain.from_word(table, target))
-    if isinstance(target, tuple) and target and isinstance(target[0], FormMatrix):
-        return _chern_matrix_word(model, t, target)
-    # monomial word (possibly empty)
-    return _chern_matrix_word(model, t, _as_form_matrix_word(table, tuple(target)))
+    return _chern_matrix_word(model, t, _as_form_matrix_word(model.table, tuple(target)))
 
 
 def _scaled_f1(model, t, slot, cache):

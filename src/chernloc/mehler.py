@@ -50,7 +50,7 @@ from .formmatrix import FormMatrix, mat_powers, power_sum
 from .multiform import (FormElement, GeneratorTable, exp_nilpotent,
                         inverse_unit, log_one_plus)
 from .scalars import (QC, QC_ZERO, PiScalar, TauPoly, bernoulli_numbers,
-                      coerce, two_over_i_pow)
+                      coerce, is_exact, two_over_i_pow)
 
 KAPPA_COEFF = Fraction(-1, 2)
 
@@ -288,12 +288,23 @@ class GaussianKernel:
                 f"pi^{self.pi_pow} pref={self.prefactor}>")
 
 
-def _kernel_parts(tau, R, formal):
+def _require_exact(R, reader):
+    """Raise ValueError naming the first curvature entry with an inexact
+    coefficient, which ``reader`` cannot take."""
+    for i, row in enumerate(R.mat.rows):
+        for j, e in enumerate(row):
+            if not all(map(is_exact, e.terms.values())):
+                raise ValueError(f"curvature entry ({i}, {j}) = {e} is inexact; "
+                                 f"{reader} needs exact coefficients")
+
+
+def _kernel_parts(tau, R):
     """What the one- and two-point kernels share: 1/tau, M = tau R/2, the
     even powers of M, the norm and the prefactor det^(-1/2)(sinh(M)/M).
-    The boundary supertrace reads the norm and prefactor alone."""
-    if formal:
-        tau = TauPoly.var(1)
+    The boundary supertrace reads the norm and prefactor alone.  A
+    :class:`TauPoly` time is formal, and needs exact curvature."""
+    if isinstance(tau, TauPoly):
+        _require_exact(R, "a formal time")
     else:
         tau = QC(Fraction(tau)) if not isinstance(tau, QC) else tau
         if complex(tau).real <= 0:
@@ -314,14 +325,14 @@ def _xx_block(inv_tau, even):
         .scale(inv_tau * QC(Fraction(1, 2)))
 
 
-def mehler_kernel(tau, R, formal=False):
+def mehler_kernel(tau, R):
     """Two-point oscillator heat kernel on the model fiber.
 
-    With ``formal=True`` the time parameter is a formal variable and all
-    coefficients are Laurent polynomials in it, which supports exact
-    differentiation in the heat-equation check.
+    With the formal time ``TauPoly.var(1)`` all coefficients are Laurent
+    polynomials in it, which supports exact differentiation in the
+    heat-equation check.
     """
-    inv_tau, M, even, norm, prefactor = _kernel_parts(tau, R, formal)
+    inv_tau, M, even, norm, prefactor = _kernel_parts(tau, R)
     n = 2 * len(even)
     # exp(M) zcsch(M) is one series in M; its odd part is M times a series in M^2
     c = _cauchy(_exp_coeffs(n), _zcsch_coeffs(n))
@@ -331,10 +342,10 @@ def mehler_kernel(tau, R, formal=False):
     return GaussianKernel(R.table, R.d, norm, -(R.d // 2), prefactor, xx, xy, xx)
 
 
-def heat_element(tau, R, formal=False):
+def heat_element(tau, R):
     """One-point heat element H_tau(X), the two-point kernel at Y = 0,
     built without the X-Y and Y-Y blocks."""
-    inv_tau, _, even, norm, prefactor = _kernel_parts(tau, R, formal)
+    inv_tau, _, even, norm, prefactor = _kernel_parts(tau, R)
     return GaussianKernel(R.table, R.d, norm, -(R.d // 2), prefactor,
                           _xx_block(inv_tau, even))
 
@@ -342,7 +353,7 @@ def heat_element(tau, R, formal=False):
 def heat_prefactor(tau, R):
     """H_tau without its quadratic form (``xx`` None): the norm and
     prefactor, all that :func:`str_zero` reads of it."""
-    _, _, _, norm, prefactor = _kernel_parts(tau, R, False)
+    _, _, _, norm, prefactor = _kernel_parts(tau, R)
     return GaussianKernel(R.table, R.d, norm, -(R.d // 2), prefactor, None)
 
 
@@ -403,6 +414,7 @@ def solve_kappa_constant(tau=Fraction(1, 2), R=None):
         w = table.gen("w")
         R = CurvatureMatrix(table, 2, FormMatrix(table, [[table.zero(), w],
                                                          [-w, table.zero()]]))
+    _require_exact(R, "the kappa derivation")
     Ht = mehler_kernel(tau, R)
     H = heat_element(tau, R)
     shifted = H.shift_to_difference()
@@ -416,15 +428,14 @@ def solve_kappa_constant(tau=Fraction(1, 2), R=None):
             if target is None or source is None:
                 continue
             for mono, rc in source.terms.items():
-                tc = target.coefficient(mono)
-                ratio = tc / rc if isinstance(tc, QC) else complex(tc) / complex(rc)
+                ratio = target.coefficient(mono) / rc
                 if lam is None:
                     lam = ratio
                 elif lam != ratio:
                     raise ArithmeticError("cross term is not proportional to R")
     if lam is None:
         raise ArithmeticError("degenerate curvature; cannot solve")
-    if not isinstance(lam, QC) or lam.im != 0:
+    if lam.im != 0:
         raise ArithmeticError("cross-term ratio is not rational")
     # delta = (c/2) R at order R^1
     c = Fraction(2) * lam.re
@@ -501,7 +512,7 @@ def heat_equation_residual(R):
     with (d/dX_i - 1/4 (R X)_i) H = w_i H.
     """
     table, d = R.table, R.d
-    H = mehler_kernel(None, R, formal=True)
+    H = mehler_kernel(TauPoly.var(1), R)
     xx, xy = H.xx, H.xy
     Q = FormMatrix(table, [a + b for a, b in zip(xx.rows, xy.rows)]
                    + [a + b for a, b in zip(xy.transpose().rows, H.yy.rows)])
@@ -510,16 +521,10 @@ def heat_equation_residual(R):
     L = -FormMatrix(table, [a + b for a, b in
                             zip((xx + R.mat.scale(Fraction(1, 4))).rows, xy.rows)])
     # sum_i d(w_i)/dX_i = -sum_i Q_ii, since R_ii = 0
-    constant = (P.scale(_norm_log_derivative(H.norm)) + _tau_derivative_form(P)
+    constant = (P.scale(H.norm.derivative() / H.norm) + _tau_derivative_form(P)
                 + P * xx.trace())
     quad = (Q.map_entries(_tau_derivative_form).scale(Fraction(-1, 2))
             - L.transpose() @ L).scale_form(P)
     rows = [[constant] + [zero] * (2 * d)]
     rows += [[zero] + list(row) for row in quad.rows]
     return FormMatrix(table, rows)
-
-
-def _norm_log_derivative(norm):
-    if isinstance(norm, TauPoly):
-        return norm.derivative() / norm
-    raise TypeError("heat-equation check needs a formal time parameter")

@@ -8,9 +8,10 @@ generator ``sigma`` with ``sigma^2 = 0``; elements split as
 ``theta = theta' + sigma * theta''``.
 
 Elements are sparse :class:`FormElement` values: maps from canonically sorted
-monomials to coefficients.  Products follow the Koszul rule
-``x*y = (-1)^{|x||y|} y*x``; the differential of the extended algebra is
-``d_T = d - iota`` with ``iota(theta' + sigma*theta'') = theta''``.
+monomials to coefficients, with the linear structure of :class:`TermMap`,
+which bar chains and Clifford elements share.  Products follow the Koszul
+rule ``x*y = (-1)^{|x||y|} y*x``; the differential of the extended algebra
+is ``d_T = d - iota`` with ``iota(theta' + sigma*theta'') = theta''``.
 """
 
 from __future__ import annotations
@@ -29,7 +30,8 @@ SIGMA_ID = 0
 
 
 class TableMismatchError(ValueError):
-    """Raised when elements over different generator tables are combined."""
+    """Raised when elements over different generator tables, or Clifford
+    elements of different dimensions, are combined."""
 
 
 def _integer(value, what):
@@ -274,7 +276,94 @@ class GeneratorTable:
         return "\n".join(lines) + "\n"
 
 
-class FormElement:
+# -- linear combinations -------------------------------------------------------------
+
+
+def _add_term(out, key, c):
+    """Add the nonzero ``c`` to the coefficient of ``key`` in ``out``,
+    dropping it when the sum cancels: the one rule by which forms, bar
+    chains and Clifford elements accumulate a coefficient.
+
+    An exact ``c`` for a key not yet in ``out`` is stored as it is.  Any
+    other starts from 0 + c, as a sum does, so that a float product that
+    underflowed to zero is dropped and a zero part loses its sign.
+    """
+    s = out.get(key)
+    if s is None:
+        if type(c) is QC:
+            out[key] = c
+            return
+        s = QC_ZERO
+    s = s + c
+    if iszero(s):
+        out.pop(key, None)
+    else:
+        out[key] = s
+
+
+class TermMap:
+    """A finite linear combination: ``terms`` maps keys to nonzero
+    coefficients over one ``context`` (the generator table of a form or a
+    bar chain, the dimension of a Clifford element).
+
+    A subclass holds its context in a slot that it also binds as
+    ``context`` (an alias of the slot descriptor, so reading it costs no
+    call), a ``_wrap(context, terms)`` constructor that owns a zero-free
+    dict without copying or re-filtering it, and its products.  The linear
+    structure lives here, and every sum adds its coefficients through
+    :func:`_add_term`.
+    """
+
+    __slots__ = ()
+    _CONTEXT = "generator tables"
+
+    def is_zero(self):
+        return not self.terms
+
+    def __iter__(self):
+        return iter(self.terms.items())
+
+    def _check(self, other):
+        if self.context != other.context:
+            raise TableMismatchError(
+                f"{type(self).__name__} operands over different {self._CONTEXT}")
+
+    def _sum(self, other, negate=False):
+        """self + other, or self - other with ``negate``."""
+        self._check(other)
+        out = dict(self.terms)
+        for key, c in other.terms.items():
+            _add_term(out, key, -c if negate else c)
+        return self._wrap(self.context, out)
+
+    def __add__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self._sum(other)
+
+    def __sub__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self._sum(other, negate=True)
+
+    def __neg__(self):
+        return self._wrap(self.context, {k: -c for k, c in self.terms.items()})
+
+    def scale(self, c):
+        c = coerce(c)
+        if iszero(c):
+            return self._wrap(self.context, {})
+        return type(self)(self.context, {k: c * v for k, v in self.terms.items()})
+
+    def __eq__(self, other):
+        if isinstance(other, type(self)):
+            return self.context == other.context and self.terms == other.terms
+        if other == 0:
+            return self.is_zero()
+        return NotImplemented
+
+
+class FormElement(TermMap):
     """Sparse element of a graded-commutative form algebra."""
 
     __slots__ = ("table", "terms", "_hash")
@@ -285,7 +374,7 @@ class FormElement:
         self._hash = None
 
     @classmethod
-    def _nonzero(cls, table, terms):
+    def _wrap(cls, table, terms):
         """Wrap ``terms`` that hold no zero coefficient, without re-filtering."""
         out = cls.__new__(cls)
         out.table = table
@@ -294,62 +383,34 @@ class FormElement:
         return out
 
     # -- basics -----------------------------------------------------------
-    def is_zero(self):
-        return not self.terms
-
     def coefficient(self, mono):
         return self.terms.get(tuple(mono), QC_ZERO)
 
     def constant_term(self):
         return self.terms.get((), QC_ZERO)
 
-    def __iter__(self):
-        return iter(self.terms.items())
-
-    def _check(self, other):
-        if self.table is not other.table:
-            raise TableMismatchError("elements over different generator tables")
-
-    # -- linear structure ---------------------------------------------------
+    # -- linear structure: a scalar operand is a multiple of 1 --------------
     def __add__(self, other):
-        if isinstance(other, FormElement):
-            self._check(other)
-            out = dict(self.terms)
-            for m, c in other.terms.items():
-                s = out.get(m, QC_ZERO) + c
-                if iszero(s):
-                    out.pop(m, None)
-                else:
-                    out[m] = s
-            return FormElement._nonzero(self.table, out)
-        if other == 0:
-            return self
-        return self + self.table.scalar(other)
+        if not isinstance(other, FormElement):
+            other = self.table.scalar(other)
+        return self._sum(other)
 
     __radd__ = __add__
 
-    def __neg__(self):
-        return FormElement._nonzero(self.table, {m: -c for m, c in self.terms.items()})
-
     def __sub__(self, other):
-        return self + (-other if isinstance(other, FormElement)
-                       else self.table.scalar(other).__neg__())
+        if not isinstance(other, FormElement):
+            other = self.table.scalar(other)
+        return self._sum(other, negate=True)
 
     def __rsub__(self, other):
         return (-self) + other
-
-    def scale(self, c):
-        c = coerce(c)
-        if iszero(c):
-            return self.table.zero()
-        return FormElement(self.table, {m: c * v for m, v in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, FormElement):
             self._check(other)
             out = {}
             _mul_into(out, self.table, self.terms, other.terms)
-            return FormElement._nonzero(self.table, out)
+            return FormElement._wrap(self.table, out)
         return self.scale(other)
 
     def __rmul__(self, other):
@@ -411,7 +472,7 @@ class FormElement:
         for mono, coeff in self.terms.items():
             for m, c in mono_terms(mono):
                 _add_term(out, m, coeff * c)
-        return FormElement._nonzero(self.table, out)
+        return FormElement._wrap(self.table, out)
 
     def d(self):
         """Extension of the generator differentials as an odd derivation."""
@@ -421,20 +482,10 @@ class FormElement:
         """d_T = d - iota, summed over the memoized monomial terms."""
         return self._apply(self.table.mono_d_T)
 
-    # -- hashing / equality ---------------------------------------------------------
-    def _key(self):
-        return tuple(sorted(self.terms.items(), key=lambda kv: kv[0]))
-
-    def __eq__(self, other):
-        if isinstance(other, FormElement):
-            return self.table is other.table and self.terms == other.terms
-        if other == 0:
-            return self.is_zero()
-        return NotImplemented
-
+    # -- hashing --------------------------------------------------------------------
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash(self._key())
+            self._hash = hash(tuple(sorted(self.terms.items(), key=lambda kv: kv[0])))
         return self._hash
 
     # -- printing -------------------------------------------------------------------
@@ -455,6 +506,10 @@ class FormElement:
 
     def __repr__(self):
         return f"<form {self.canonical_str()}>"
+
+
+# the table is the TermMap context, read straight from its slot
+FormElement.context = FormElement.table
 
 
 @dataclass
@@ -498,27 +553,6 @@ def check_dga(table):
 
 
 # -- the product kernel ---------------------------------------------------------------
-
-
-def _add_term(out, mono, c):
-    """Add the nonzero ``c`` to the coefficient of ``mono`` in ``out``,
-    dropping it when the sum cancels.
-
-    An exact ``c`` for a monomial not yet in ``out`` is stored as it is.
-    Any other starts from 0 + c, as a sum does, so that a float product
-    that underflowed to zero is dropped and a zero part loses its sign.
-    """
-    s = out.get(mono)
-    if s is None:
-        if type(c) is QC:
-            out[mono] = c
-            return
-        s = QC_ZERO
-    s = s + c
-    if iszero(s):
-        out.pop(mono, None)
-    else:
-        out[mono] = s
 
 
 def _mul_into(out, table, ta, tb):

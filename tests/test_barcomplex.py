@@ -56,6 +56,30 @@ def test_bar_laws_randomized():
         assert b(b(chain)).is_zero()
 
 
+def _underflow_table():
+    # d x = 1e-200 u, so a chain coefficient of 1e-200 times it underflows
+    return GeneratorTable.from_text("d 2\nx 1 1e-200 * u\nu 2 0\n")
+
+
+def test_b0_drops_a_float_coefficient_that_underflows():
+    t = _underflow_table()
+    chain = BarChain.from_words(t, [(1e-200, (t.gen("x"),))])
+    assert not chain.is_zero()
+    image = b0(chain)
+    assert image.terms == {}
+    assert image.is_zero() and image == 0
+
+
+def test_float_chain_terms_that_cancel_leave_no_zero_coefficient():
+    t = _underflow_table()
+    x, u = t.gen("x"), t.gen("u")
+    a = BarChain.from_words(t, [(0.1, (x,)), (0.25, (u, x)), (1, (u,))])
+    c = BarChain.from_words(t, [(-0.1, (x,)), (-0.25, (u, x))])
+    # equal term maps: the cancelled words keep no zero coefficient
+    assert (a + c).terms == BarChain.from_word(t, (u,)).terms
+    assert (a - a).terms == {} and (a + (-a)).terms == {}
+
+
 # -- cyclic structure ----------------------------------------------------------------
 
 

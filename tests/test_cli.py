@@ -359,6 +359,21 @@ def test_parenthesized_sum_in_a_word_is_a_json_error(tmp_path, capsys):
                             "a parenthesized sum is not expanded"}
 
 
+def test_inexact_curvature_in_mehler_is_a_json_error(tmp_path, capsys):
+    # the kappa constant is derived exactly, so a float entry is named
+    path = tmp_path / "mehler.json"
+    path.write_text(json.dumps({
+        "d": 2,
+        "generators": ["u"],
+        "R": [["0", "0.5 * u"], ["-0.5 * u", "0"]],
+    }))
+    code, doc = run_cli(capsys, ["mehler", str(path)])
+    assert code == 2
+    assert doc == {"ok": False,
+                   "error": "ValueError: curvature entry (0, 1) = (0.5+0j) * u is "
+                            "inexact; the kappa derivation needs exact coefficients"}
+
+
 def test_flat_curvature_in_mehler_is_a_json_error(tmp_path, capsys):
     # a flat R leaves no cross term to derive the kappa constant from
     path = tmp_path / "mehler.json"

@@ -266,6 +266,21 @@ def test_chern_engines_agree_on_random_words():
         assert abs(ex - chern_by_splittings(m, 0.7, chain)) < 1e-8 * abs(ex), text
 
 
+def test_chern_on_a_word_of_forms_equals_its_monomial_expansion():
+    # a word of forms is evaluated as it stands; its chain expands each
+    # entry into monomial words, one block exponential per word
+    rng = random.Random(5)
+    t = rich_table()
+    m = random_model(t, rng)
+    largest = 0.0
+    for _ in range(31):
+        word = random_word(t, rng, max_len=3)
+        expanded = chern_t(m, 1.0, BarChain.from_word(t, word))
+        assert abs(chern_t(m, 1.0, word) - expanded) < 1e-12
+        largest = max(largest, abs(expanded))
+    assert largest > 0.1
+
+
 def test_chern_rejects_nonpositive_t():
     rng = random.Random(6)
     t = base_table()

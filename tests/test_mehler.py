@@ -269,6 +269,22 @@ def test_heat_equation_symbolic_d2_and_flat(curvature_d2):
     assert heat_equation_residual(CurvatureMatrix.zero(table, 2)).is_zero()
 
 
+def test_formal_time_and_kappa_reject_inexact_curvature():
+    table = GeneratorTable(2)
+    table.add_generator("u", 2)
+    R = CurvatureMatrix.from_rows(table, [["0", "0.5 * u"], ["-0.5 * u", "0"]])
+    named = r"curvature entry \(0, 1\) = .* u is inexact; "
+    for call in (lambda: heat_equation_residual(R),
+                 lambda: mehler_kernel(TauPoly.var(1), R),
+                 lambda: heat_element(TauPoly.var(1), R)):
+        with pytest.raises(ValueError, match=named + "a formal time needs exact"):
+            call()
+    with pytest.raises(ValueError, match=named + "the kappa derivation needs exact"):
+        solve_kappa_constant(R=R)
+    # a numeric time takes inexact curvature as before
+    assert not heat_element(Fraction(1, 2), R).prefactor.is_zero()
+
+
 def test_heat_equation_detects_wrong_kernel(curvature_d4, monkeypatch):
     # flipping the sign of the z^2 coefficient of any one series must leave a
     # nonzero residual (at d = 4; lower-dimensional truncation would hide the
@@ -307,12 +323,11 @@ def _curvature(d):
 @pytest.mark.parametrize("d", [2, 4, 6])
 def test_heat_element_is_the_two_point_kernel_at_the_origin(d):
     R = _curvature(d)
-    for tau, formal in ((Fraction(1, 4), False), (1, False), (Fraction(3, 2), False),
-                        (None, True)):
-        full = mehler_kernel(tau, R, formal=formal)
+    for tau in (Fraction(1, 4), 1, Fraction(3, 2), TauPoly.var(1)):
+        full = mehler_kernel(tau, R)
         want = GaussianKernel(R.table, d, full.norm, full.pi_pow,
                               full.prefactor, full.xx)
-        assert heat_element(tau, R, formal=formal) == want
+        assert heat_element(tau, R) == want
 
 
 def test_heat_element_skips_the_cross_term_series(curvature_d4, monkeypatch):
@@ -341,7 +356,7 @@ def test_heat_equation_residual_is_a_symmetric_quadratic_form(d, monkeypatch):
     kernel = mh.mehler_kernel
     doubled = CurvatureMatrix(R.table, d, R.mat.scale(2))
     monkeypatch.setattr(mh, "mehler_kernel",
-                        lambda tau, _R, formal=False: kernel(tau, doubled, formal))
+                        lambda tau, _R: kernel(tau, doubled))
     wrong = mh.heat_equation_residual(R)
     assert wrong.shape == (2 * d + 1, 2 * d + 1)
     assert not wrong.is_zero()
@@ -554,7 +569,7 @@ def test_gaussian_outputs_stay_exact():
         H1 = heat_element(Fraction(1, 4), R)
         H2 = heat_element(Fraction(1, 2), R)
         kernels = (mehler_kernel(Fraction(1, 3), R),
-                   mehler_kernel(None, R, formal=True),
+                   mehler_kernel(TauPoly.var(1), R),
                    H1, H2, twisted_convolve(H1, H2, R))
         for K in kernels:
             for c in _kernel_coefficients(K):
