@@ -9,10 +9,10 @@ computations.
 Degree bookkeeping follows the shifted convention
 ``n_k = |theta_1| + ... + |theta_k| - k`` for words of homogeneous entries.
 
-A :class:`BarChain` is a ``multiform.TermMap`` over its generator table,
+A :class:`BarChain` is a ``scalars.TermMap`` over its generator table,
 so it shares the linear structure of forms.  Every chain operation
 (``from_words``, ``+``, ``-``, ``b0``, ``b1``, ``cyclic_symmetrize``) adds
-its output terms into one dict through ``multiform._add_term``, which drops
+its output terms into one dict through ``scalars._add_term``, which drops
 an entry as soon as its sum cancels, and wraps that dict once without
 copying or rescanning it.  The cost is linear in the number of terms
 produced.  ``b0`` and ``b1`` read the per-monomial ``d_T`` and product
@@ -26,8 +26,8 @@ from math import factorial
 
 import numpy as np
 
-from .multiform import FormElement, TermMap, _add_term
-from .scalars import QC, QC_ONE, QC_ZERO, coerce, iszero
+from .multiform import FormElement
+from .scalars import QC, QC_ONE, QC_ZERO, TermMap, _add_term, coerce, iszero
 
 # -- chains -------------------------------------------------------------------
 
@@ -243,20 +243,19 @@ class Cochain:
     an even cochain takes values of parity n_N on a word with
     n_N = sum |theta_i| - N.
 
-    Matrix values act on ``C^dim`` graded as ``C^dim_plus (+) C^(dim -
-    dim_plus)``; ``dim_plus`` defaults to ``dim // 2``.
+    A cochain is matrix-valued exactly when ``dim`` is given: its values
+    act on ``C^dim`` graded as ``C^dim_plus (+) C^(dim - dim_plus)``, and
+    ``dim_plus`` defaults to ``dim // 2``.
     """
 
-    __slots__ = ("table", "parity", "kind", "dim", "dim_plus", "components")
+    __slots__ = ("table", "parity", "dim", "dim_plus", "components")
 
-    def __init__(self, table, parity, components, kind="scalar", dim=None,
-                 dim_plus=None):
+    def __init__(self, table, parity, components, dim=None, dim_plus=None):
         self.table = table
         self.parity = parity & 1
-        self.kind = kind
         self.dim = dim
         self.dim_plus = None
-        if kind == "matrix":
+        if dim is not None:
             if not dim:
                 raise ValueError("matrix cochains need a dimension")
             self.dim_plus = dim // 2 if dim_plus is None else int(dim_plus)
@@ -266,25 +265,22 @@ class Cochain:
 
     # -- value helpers ---------------------------------------------------------
     def zero_value(self):
-        if self.kind == "matrix":
+        if self.dim is not None:
             return np.zeros((self.dim, self.dim), dtype=complex)
         return QC_ZERO
 
-    def _vadd(self, a, b):
-        return a + b
-
     def _vmul(self, a, b):
-        if self.kind == "matrix":
+        if self.dim is not None:
             return a @ b
         return a * b
 
     def _vscale(self, c, a):
-        if self.kind == "matrix":
+        if self.dim is not None:
             return complex(c) * a
         return c * a
 
     def _viszero(self, a):
-        if self.kind == "matrix":
+        if self.dim is not None:
             return not np.any(a)
         return iszero(a)
 
@@ -300,7 +296,7 @@ class Cochain:
         for word, coeff in chain.terms.items():
             v = self.eval_word(word)
             if not self._viszero(v):
-                out = self._vadd(out, self._vscale(coeff, v))
+                out = out + self._vscale(coeff, v)
         return out
 
     def __call__(self, arg):
@@ -310,21 +306,14 @@ class Cochain:
 
     # -- constructors -------------------------------------------------------------
     @classmethod
-    def unit(cls, table, kind="scalar", dim=None, dim_plus=None):
-        if kind == "matrix":
-            value = np.eye(dim, dtype=complex)
-        else:
-            value = QC_ONE
-        return cls(table, 0, {0: lambda w, v=value: v}, kind=kind, dim=dim,
-                   dim_plus=dim_plus)
+    def unit(cls, table, dim=None, dim_plus=None):
+        value = QC_ONE if dim is None else np.eye(dim, dtype=complex)
+        return cls(table, 0, {0: lambda w, v=value: v}, dim=dim, dim_plus=dim_plus)
 
     @classmethod
-    def from_rules(cls, table, rules, parity, kind="scalar", dim=None, dim_plus=None):
+    def from_rules(cls, table, rules, parity, dim=None, dim_plus=None):
         """Finitely supported cochain: rules map monomial words to values."""
-        if kind == "matrix":
-            zero = np.zeros((dim, dim), dtype=complex)
-        else:
-            zero = QC_ZERO
+        zero = QC_ZERO if dim is None else np.zeros((dim, dim), dtype=complex)
         by_arity = {}
         for word, value in rules.items():
             by_arity.setdefault(len(word), {})[tuple(word)] = value
@@ -332,7 +321,7 @@ class Cochain:
             arity: (lambda word, _r=table_rules, _z=zero: _r.get(word, _z))
             for arity, table_rules in by_arity.items()
         }
-        return cls(table, parity, components, kind=kind, dim=dim, dim_plus=dim_plus)
+        return cls(table, parity, components, dim=dim, dim_plus=dim_plus)
 
 
 def cochain_mul(l1, l2):
@@ -340,7 +329,7 @@ def cochain_mul(l1, l2):
     (-1)^(n_k |l2|) for moving l2 past the first k slots."""
     if l1.table is not l2.table:
         raise ValueError("cochains over different tables")
-    if (l1.kind, l1.dim, l1.dim_plus) != (l2.kind, l2.dim, l2.dim_plus):
+    if (l1.dim, l1.dim_plus) != (l2.dim, l2.dim_plus):
         raise ValueError("cochain value kinds do not match")
     table = l1.table
     arities1 = set(l1.components)
@@ -364,12 +353,12 @@ def cochain_mul(l1, l2):
                 v = l1._vmul(v1, v2)
                 if parity2 and (degs[k] & 1):
                     v = l1._vscale(QC(-1), v)
-                total = v if total is None else l1._vadd(total, v)
+                total = v if total is None else total + v
             return total if total is not None else l1.zero_value()
         return fn
 
     comp = {n: make(n) for n in out_arities}
-    return Cochain(table, l1.parity ^ l2.parity, comp, kind=l1.kind, dim=l1.dim,
+    return Cochain(table, l1.parity ^ l2.parity, comp, dim=l1.dim,
                    dim_plus=l1.dim_plus)
 
 
@@ -389,8 +378,7 @@ def beta(l):
         return fn
 
     comp = {n: make(n) for n in out_arities}
-    return Cochain(table, l.parity ^ 1, comp, kind=l.kind, dim=l.dim,
-                   dim_plus=l.dim_plus)
+    return Cochain(table, l.parity ^ 1, comp, dim=l.dim, dim_plus=l.dim_plus)
 
 
 def cochain_parity_report(l, words):
@@ -405,17 +393,24 @@ def cochain_parity_report(l, words):
         for w, _ in chain.terms.items():
             n_par = _prefix_degrees(l.table, w)[len(w)] & 1
             v = l.eval_word(w)
-            if l.kind == "scalar":
-                if not iszero(v) and (n_par ^ l.parity):
+            want = n_par ^ l.parity
+            if l.dim is None:
+                if not iszero(v) and want:
                     bad.append((w, "odd value on scalar cochain"))
-            else:
-                want = n_par ^ l.parity
-                half = l.dim_plus
-                A = np.asarray(v)
-                diag = np.linalg.norm(A[:half, :half]) + np.linalg.norm(A[half:, half:])
-                off = np.linalg.norm(A[:half, half:]) + np.linalg.norm(A[half:, :half])
-                if want == 0 and off > 1e-12 * max(1.0, diag):
-                    bad.append((w, "even slot carries odd blocks"))
-                if want == 1 and diag > 1e-12 * max(1.0, off):
-                    bad.append((w, "odd slot carries even blocks"))
+            elif not has_block_parity(v, l.dim_plus, want):
+                bad.append((w, "odd slot carries even blocks" if want
+                            else "even slot carries odd blocks"))
     return bad
+
+
+def has_block_parity(mat, half, parity, tol=1e-12):
+    """Whether ``mat``, split at row and column ``half``, has the given
+    parity: its blocks of the other parity (the off-diagonal ones for 0,
+    the diagonal ones for 1) are below ``tol`` times max(1, the norm of the
+    rest), in the Frobenius norm."""
+    A = np.asarray(mat)
+    diag = np.linalg.norm(A[:half, :half]) + np.linalg.norm(A[half:, half:])
+    off = np.linalg.norm(A[:half, half:]) + np.linalg.norm(A[half:, :half])
+    if parity:
+        diag, off = off, diag
+    return off <= tol * max(1.0, diag)

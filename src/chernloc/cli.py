@@ -184,7 +184,8 @@ def cmd_mehler(args):
     for ta in taus:
         for tb in taus:
             lhs = mehler.twisted_convolve(mehler.heat_element(ta, R),
-                                          mehler.heat_element(tb, R), R)
+                                          mehler.heat_element(tb, R), R,
+                                          kappa_coeff=kappa)
             rhs = mehler.heat_element(ta + tb, R)
             if lhs != rhs:
                 semigroup_ok = False

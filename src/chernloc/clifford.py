@@ -20,8 +20,9 @@ from functools import lru_cache, reduce
 
 import numpy as np
 
-from .multiform import SIGMA_ID, FormElement, GeneratorTable, TermMap, _add_term
-from .scalars import QC_ONE, QC_ZERO, coerce, iszero, two_over_i_pow
+from .multiform import SIGMA_ID, FormElement, GeneratorTable
+from .scalars import (QC_ONE, QC_ZERO, TermMap, _add_term, coerce, iszero,
+                      two_over_i_pow)
 
 
 @lru_cache(maxsize=None)

@@ -10,8 +10,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial
 
-from .multiform import FormElement, _add_term, _mul_into
-from .scalars import coerce
+from .multiform import FormElement, _mul_into
+from .scalars import _add_term, coerce
 
 
 class FormMatrix:

@@ -36,7 +36,7 @@ from itertools import product as _cartesian
 
 import numpy as np
 
-from .barcomplex import BarChain, Cochain
+from .barcomplex import BarChain, Cochain, has_block_parity
 from .formmatrix import FormMatrix, mat_exp_nilpotent
 from .multiform import SIGMA_ID, FormElement
 from .scalars import QC, QC_ONE
@@ -75,23 +75,13 @@ class FredholmModel:
     def grading(self):
         return np.diag([1.0] * self.dim_plus + [-1.0] * self.dim_minus).astype(complex)
 
-    def _block_parity(self, mat, tol=1e-12):
-        p = self.dim_plus
-        diag = np.linalg.norm(mat[:p, :p]) + np.linalg.norm(mat[p:, p:])
-        off = np.linalg.norm(mat[:p, p:]) + np.linalg.norm(mat[p:, :p])
-        if off <= tol * max(1.0, diag):
-            return 0
-        if diag <= tol * max(1.0, off):
-            return 1
-        return None
-
     def structure_report(self):
         problems = []
         if self.Q.shape != (self.dim, self.dim):
             problems.append("Q has the wrong shape")
         elif not np.isfinite(self.Q).all():
             problems.append("Q has a non-finite entry")
-        elif np.any(self.Q) and self._block_parity(self.Q) != 1:
+        elif not has_block_parity(self.Q, self.dim_plus, 1):
             problems.append("Q is not odd for the grading")
         for mono, mat in self.c_map.items():
             if mat.shape != (self.dim, self.dim):
@@ -102,10 +92,9 @@ class FredholmModel:
                 continue
             if not np.isfinite(mat).all():
                 problems.append(f"c({self.table.mono_str(mono)}) has a non-finite entry")
-            elif np.any(mat):
-                want = self.table.mono_degree(mono) & 1
-                if self._block_parity(mat) != want:
-                    problems.append(f"c({self.table.mono_str(mono)}) parity mismatch")
+            elif not has_block_parity(mat, self.dim_plus,
+                                      self.table.mono_degree(mono) & 1):
+                problems.append(f"c({self.table.mono_str(mono)}) parity mismatch")
         return problems
 
     def relation_report(self):
@@ -204,7 +193,7 @@ def connection_cochain(model):
         prime, _ = FormElement(table, {mono: QC_ONE}).split_sigma()
         return model.c(prime)
 
-    return Cochain(table, 1, {0: arity0, 1: arity1}, kind="matrix", dim=model.dim,
+    return Cochain(table, 1, {0: arity0, 1: arity1}, dim=model.dim,
                    dim_plus=model.dim_plus)
 
 
@@ -227,7 +216,7 @@ def curvature_cochain(model):
         return _scaled_f2(model, 1.0, slot1, slot2, {})
 
     return Cochain(table, 0, {0: arity0, 1: arity1, 2: arity2},
-                   kind="matrix", dim=model.dim, dim_plus=model.dim_plus)
+                   dim=model.dim, dim_plus=model.dim_plus)
 
 
 # -- simplex integrals ---------------------------------------------------------------

@@ -478,11 +478,12 @@ def str_zero(x):
 
     Accepts a one-variable GaussianKernel or a plain FormElement.  Returns a
     top-degree FormElement; kernel input yields PiScalar coefficients that
-    carry the pi power of the normalization.
+    carry the pi power of the normalization (their own coefficients are
+    TauPoly at a formal time).
     """
     if isinstance(x, GaussianKernel):
-        factor = PiScalar(x.norm, x.pi_pow) * two_over_i_pow(x.d)
-        return x.prefactor.top_component().scale(factor)
+        top = x.prefactor.top_component().scale(x.norm * two_over_i_pow(x.d))
+        return FormElement._wrap(x.table, {m: PiScalar(c, x.pi_pow) for m, c in top})
     return x.top_component().scale(two_over_i_pow(x.table.top_degree))
 
 
@@ -494,7 +495,7 @@ def _tau_derivative_form(form):
     for mono, c in form.terms.items():
         if isinstance(c, TauPoly):
             dc = c.derivative()
-            if dc.coeffs:
+            if dc.terms:
                 out[mono] = dc
     return FormElement(form.table, out)
 

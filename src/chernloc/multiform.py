@@ -8,10 +8,12 @@ generator ``sigma`` with ``sigma^2 = 0``; elements split as
 ``theta = theta' + sigma * theta''``.
 
 Elements are sparse :class:`FormElement` values: maps from canonically sorted
-monomials to coefficients, with the linear structure of :class:`TermMap`,
-which bar chains and Clifford elements share.  Products follow the Koszul
-rule ``x*y = (-1)^{|x||y|} y*x``; the differential of the extended algebra
-is ``d_T = d - iota`` with ``iota(theta' + sigma*theta'') = theta''``.
+monomials to coefficients, with the linear structure of ``scalars.TermMap``
+(importable from here too, with ``_add_term`` and ``TableMismatchError``),
+which bar chains, Clifford elements and Laurent polynomials share; a scalar
+operand of a sum is a multiple of 1.  Products follow the Koszul rule
+``x*y = (-1)^{|x||y|} y*x``; the differential of the extended algebra is
+``d_T = d - iota`` with ``iota(theta' + sigma*theta'') = theta''``.
 """
 
 from __future__ import annotations
@@ -23,15 +25,11 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .scalars import QC, QC_ONE, QC_ZERO, coerce, iszero
+from .scalars import (QC, QC_ONE, QC_ZERO, TableMismatchError, TermMap,
+                      _add_term, coerce, iszero)
 
 SIGMA = "sigma"
 SIGMA_ID = 0
-
-
-class TableMismatchError(ValueError):
-    """Raised when elements over different generator tables, or Clifford
-    elements of different dimensions, are combined."""
 
 
 def _integer(value, what):
@@ -276,93 +274,6 @@ class GeneratorTable:
         return "\n".join(lines) + "\n"
 
 
-# -- linear combinations -------------------------------------------------------------
-
-
-def _add_term(out, key, c):
-    """Add the nonzero ``c`` to the coefficient of ``key`` in ``out``,
-    dropping it when the sum cancels: the one rule by which forms, bar
-    chains and Clifford elements accumulate a coefficient.
-
-    An exact ``c`` for a key not yet in ``out`` is stored as it is.  Any
-    other starts from 0 + c, as a sum does, so that a float product that
-    underflowed to zero is dropped and a zero part loses its sign.
-    """
-    s = out.get(key)
-    if s is None:
-        if type(c) is QC:
-            out[key] = c
-            return
-        s = QC_ZERO
-    s = s + c
-    if iszero(s):
-        out.pop(key, None)
-    else:
-        out[key] = s
-
-
-class TermMap:
-    """A finite linear combination: ``terms`` maps keys to nonzero
-    coefficients over one ``context`` (the generator table of a form or a
-    bar chain, the dimension of a Clifford element).
-
-    A subclass holds its context in a slot that it also binds as
-    ``context`` (an alias of the slot descriptor, so reading it costs no
-    call), a ``_wrap(context, terms)`` constructor that owns a zero-free
-    dict without copying or re-filtering it, and its products.  The linear
-    structure lives here, and every sum adds its coefficients through
-    :func:`_add_term`.
-    """
-
-    __slots__ = ()
-    _CONTEXT = "generator tables"
-
-    def is_zero(self):
-        return not self.terms
-
-    def __iter__(self):
-        return iter(self.terms.items())
-
-    def _check(self, other):
-        if self.context != other.context:
-            raise TableMismatchError(
-                f"{type(self).__name__} operands over different {self._CONTEXT}")
-
-    def _sum(self, other, negate=False):
-        """self + other, or self - other with ``negate``."""
-        self._check(other)
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            _add_term(out, key, -c if negate else c)
-        return self._wrap(self.context, out)
-
-    def __add__(self, other):
-        if not isinstance(other, type(self)):
-            return NotImplemented
-        return self._sum(other)
-
-    def __sub__(self, other):
-        if not isinstance(other, type(self)):
-            return NotImplemented
-        return self._sum(other, negate=True)
-
-    def __neg__(self):
-        return self._wrap(self.context, {k: -c for k, c in self.terms.items()})
-
-    def scale(self, c):
-        c = coerce(c)
-        if iszero(c):
-            return self._wrap(self.context, {})
-        return type(self)(self.context, {k: c * v for k, v in self.terms.items()})
-
-    def __eq__(self, other):
-        if isinstance(other, type(self)):
-            return self.context == other.context and self.terms == other.terms
-        if other == 0:
-            return self.is_zero()
-        return NotImplemented
-
-
 class FormElement(TermMap):
     """Sparse element of a graded-commutative form algebra."""
 
@@ -389,21 +300,9 @@ class FormElement(TermMap):
     def constant_term(self):
         return self.terms.get((), QC_ZERO)
 
-    # -- linear structure: a scalar operand is a multiple of 1 --------------
-    def __add__(self, other):
-        if not isinstance(other, FormElement):
-            other = self.table.scalar(other)
-        return self._sum(other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if not isinstance(other, FormElement):
-            other = self.table.scalar(other)
-        return self._sum(other, negate=True)
-
-    def __rsub__(self, other):
-        return (-self) + other
+    def _promote(self, other):
+        """A scalar operand of a sum is a multiple of 1."""
+        return self.table.scalar(other)
 
     def __mul__(self, other):
         if isinstance(other, FormElement):

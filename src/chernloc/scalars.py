@@ -1,17 +1,20 @@
 """Exact scalar arithmetic.
 
-Three small coefficient types used throughout the package:
+The bottom of the package's import graph:
 
 * :class:`QC` -- complex numbers with exact rational real/imaginary parts,
   stored as one integer triple ``(re_num, im_num, den)`` over a shared
   denominator.  Arithmetic among QC, int and Fraction stays exact; mixing
   with float or complex silently degrades to the builtin ``complex``.
-* :class:`TauPoly` -- Laurent polynomials in one formal parameter ``tau``
-  over QC, enough to differentiate heat kernels with respect to time
-  without ever evaluating them.
-* :class:`PiScalar` -- a QC (or complex) coefficient times an integer power
-  of pi, so that constants like (4*pi*tau)^(-d/2) and (2*pi*i)^(-d/2) can be
-  compared exactly.
+* :class:`TermMap` and :func:`_add_term` -- the linear-combination core: a
+  map from keys to nonzero coefficients, and the one rule by which a
+  coefficient is added into such a map.  Forms, bar chains and Clifford
+  elements (in their own modules) and Laurent polynomials share it.
+* :class:`Laurent` -- polynomials in integer powers of one formal variable,
+  written once; :class:`TauPoly` names the heat time tau, so heat kernels
+  are differentiated in time without being evaluated, and
+  :class:`PiScalar` names pi, so constants like (4*pi*tau)^(-d/2) and
+  (2*pi*i)^(-d/2) are compared exactly.
 """
 
 from __future__ import annotations
@@ -210,9 +213,9 @@ def coerce(x):
     """Normalize a number into a package coefficient.
 
     Exact inputs become QC; floats and complex floats stay inexact.
-    TauPoly and PiScalar pass through.
+    Laurent polynomials (TauPoly, PiScalar) pass through.
     """
-    if isinstance(x, (QC, TauPoly, PiScalar)):
+    if isinstance(x, (QC, Laurent)):
         return x
     if isinstance(x, _EXACT):
         return QC(x)
@@ -226,257 +229,273 @@ def coerce(x):
 def iszero(x):
     if isinstance(x, QC):
         return x.is_zero()
-    if isinstance(x, TauPoly):
-        return not x.coeffs
-    if isinstance(x, PiScalar):
-        return iszero(x.value)
+    if isinstance(x, Laurent):
+        return not x.terms
     return x == 0
 
 
 def is_exact(x):
-    return isinstance(x, (QC, TauPoly, *_EXACT)) or (
-        isinstance(x, PiScalar) and is_exact(x.value))
+    if isinstance(x, Laurent):
+        return all(map(is_exact, x.terms.values()))
+    return isinstance(x, (QC, *_EXACT))
 
 
-class TauPoly:
-    """Laurent polynomial in a single formal parameter over QC."""
+# -- linear combinations -------------------------------------------------------------
 
-    __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs=None):
-        data = {}
-        if coeffs:
-            for k, v in coeffs.items():
-                v = v if isinstance(v, QC) else QC(v)
-                if not v.is_zero():
-                    data[int(k)] = v
-        self.coeffs = data
+class TableMismatchError(ValueError):
+    """Raised when elements over different generator tables, or Clifford
+    elements of different dimensions, are combined."""
 
-    @classmethod
-    def var(cls, power=1, coeff=1):
-        return cls({power: QC(coeff) if not isinstance(coeff, QC) else coeff})
 
-    @classmethod
-    def const(cls, c):
-        c = c if isinstance(c, QC) else QC(c)
-        return cls({0: c})
+def _add_term(out, key, c):
+    """Add the nonzero ``c`` to the coefficient of ``key`` in ``out``,
+    dropping it when the sum cancels: the one rule by which forms, bar
+    chains, Clifford elements and Laurent polynomials accumulate a
+    coefficient.
 
-    # -- ring operations --------------------------------------------
-    def _as_tau(self, other):
-        if isinstance(other, TauPoly):
-            return other
-        if isinstance(other, (QC, *_EXACT)):
-            return TauPoly.const(other)
+    An exact ``c`` for a key not yet in ``out`` is stored as it is.  Any
+    other starts from 0 + c, as a sum does, so that a float product that
+    underflowed to zero is dropped and a zero part loses its sign.
+    """
+    s = out.get(key)
+    if s is None:
+        if type(c) is QC:
+            out[key] = c
+            return
+        s = QC_ZERO
+    s = s + c
+    if iszero(s):
+        out.pop(key, None)
+    else:
+        out[key] = s
+
+
+class TermMap:
+    """A finite linear combination: ``terms`` maps keys to nonzero
+    coefficients over one ``context`` (the generator table of a form or a
+    bar chain, the dimension of a Clifford element, the variable of a
+    Laurent polynomial).
+
+    A subclass binds ``context`` (a form, chain or Clifford element as an
+    alias of the slot that holds it, so reading it costs no call; a Laurent
+    polynomial as the name of its variable), a ``_wrap(context, terms)``
+    constructor that owns a zero-free dict without copying or re-filtering
+    it, and its products; ``_promote`` may read other operands of a sum as
+    elements.  The linear structure lives here, and every sum adds its
+    coefficients through :func:`_add_term`.
+    """
+
+    __slots__ = ()
+    _CONTEXT = "generator tables"
+
+    def is_zero(self):
+        return not self.terms
+
+    def __iter__(self):
+        return iter(self.terms.items())
+
+    def _check(self, other):
+        if self.context != other.context:
+            raise TableMismatchError(
+                f"{type(self).__name__} operands over different {self._CONTEXT}")
+
+    def _promote(self, other):
+        """``other`` as an element of this class, or None when it has no
+        such reading; by default only elements of the class combine."""
         return None
 
+    def _sum(self, other, negate=False):
+        """self + other, or self - other with ``negate``."""
+        if type(other) is not type(self):
+            other = self._promote(other)
+            if other is None:
+                return NotImplemented
+        self._check(other)
+        out = dict(self.terms)
+        for key, c in other.terms.items():
+            _add_term(out, key, -c if negate else c)
+        return self._wrap(self.context, out)
+
     def __add__(self, other):
-        o = self._as_tau(other)
-        if o is None:
-            return NotImplemented
-        out = dict(self.coeffs)
-        for k, v in o.coeffs.items():
-            s = out.get(k, QC_ZERO) + v
-            if s.is_zero():
-                out.pop(k, None)
-            else:
-                out[k] = s
-        t = TauPoly.__new__(TauPoly)
-        t.coeffs = out
-        return t
+        return self._sum(other)
 
     __radd__ = __add__
 
-    def __neg__(self):
-        t = TauPoly.__new__(TauPoly)
-        t.coeffs = {k: -v for k, v in self.coeffs.items()}
-        return t
-
     def __sub__(self, other):
-        o = self._as_tau(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
+        return self._sum(other, negate=True)
 
     def __rsub__(self, other):
         return (-self) + other
 
+    def __neg__(self):
+        return self._wrap(self.context, {k: -c for k, c in self.terms.items()})
+
+    def scale(self, c):
+        c = coerce(c)
+        if iszero(c):
+            return self._wrap(self.context, {})
+        return self._wrap(self.context, {k: p for k, v in self.terms.items()
+                                         if not iszero(p := c * v)})
+
+    def __eq__(self, other):
+        if isinstance(other, type(self)):
+            return self.context == other.context and self.terms == other.terms
+        if other == 0:
+            return self.is_zero()
+        return NotImplemented
+
+
+# -- Laurent polynomials in one formal variable ----------------------------------------
+
+
+class Laurent(TermMap):
+    """sum_k c_k x^k over integer powers k: ``terms`` maps a power to its
+    nonzero coefficient (a QC, or a complex when inexact).
+
+    A number is the constant polynomial, so it enters ``+``, ``-``, ``*``,
+    ``/`` and ``==``; polynomials in different variables (subclasses) do not
+    mix.  A subclass only names its variable, its ``context``.
+    """
+
+    __slots__ = ("terms",)
+    context = "x"
+
+    def __init__(self, terms=None):
+        self.terms = {int(k): c for k, v in (terms or {}).items()
+                      if not iszero(c := coerce(v))}
+
+    @classmethod
+    def _wrap(cls, context, terms):
+        """Wrap ``terms`` that hold no zero coefficient, without re-filtering."""
+        out = cls.__new__(cls)
+        out.terms = terms
+        return out
+
+    @classmethod
+    def var(cls, power=1, coeff=1):
+        """The monomial coeff * x^power."""
+        c = coerce(coeff)
+        return cls._wrap(cls.context, {} if iszero(c) else {int(power): c})
+
+    @classmethod
+    def const(cls, c):
+        return cls.var(0, c)
+
+    def _promote(self, other):
+        """``other`` in this variable: itself, or a number as a constant;
+        None for a polynomial in another variable or a non-number."""
+        if isinstance(other, Laurent):
+            return other if type(other) is type(self) else None
+        try:
+            return self.const(other)
+        except TypeError:
+            return None
+
+    # -- products -------------------------------------------------------------
     def __mul__(self, other):
-        o = self._as_tau(other)
+        o = self._promote(other)
         if o is None:
             return NotImplemented
+        if len(o.terms) == 1:
+            # a monomial only shifts the powers: no two products meet, so
+            # each is kept as it is (a float one with its signed zeros)
+            (k, v), = o.terms.items()
+            return self._wrap(self.context, {p + k: q for p, c in self.terms.items()
+                                             if not iszero(q := c * v)})
         out = {}
-        for ka, va in self.coeffs.items():
-            for kb, vb in o.coeffs.items():
-                k = ka + kb
-                s = out.get(k, QC_ZERO) + va * vb
-                if s.is_zero():
-                    out.pop(k, None)
-                else:
-                    out[k] = s
-        t = TauPoly.__new__(TauPoly)
-        t.coeffs = out
-        return t
+        for ka, va in self.terms.items():
+            for kb, vb in o.terms.items():
+                _add_term(out, ka + kb, va * vb)
+        return self._wrap(self.context, out)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if isinstance(other, (QC, *_EXACT)):
-            inv = (QC(other) if not isinstance(other, QC) else other).inverse()
-            return self * inv
-        if isinstance(other, TauPoly):
-            if len(other.coeffs) != 1:
-                raise ZeroDivisionError("can only divide by a tau-monomial")
-            (k, v), = other.coeffs.items()
-            t = TauPoly.__new__(TauPoly)
-            t.coeffs = {p - k: c * v.inverse() for p, c in self.coeffs.items()}
-            return t
-        return NotImplemented
+        """Division by a number or a monomial."""
+        o = self._promote(other)
+        if o is None:
+            return NotImplemented
+        if len(o.terms) != 1:
+            raise ZeroDivisionError(f"can only divide by a {self.context}-monomial")
+        (k, v), = o.terms.items()
+        return self._wrap(self.context, {p - k: q for p, c in self.terms.items()
+                                         if not iszero(q := c / v)})
 
     def __pow__(self, k):
-        """Integer power; a negative one needs a tau-monomial."""
+        """Integer power; a negative one needs a monomial."""
         if not isinstance(k, int):
             return NotImplemented
         if k < 0:
-            return (TauPoly.const(1) / self) ** -k
-        out = TauPoly.const(1)
+            return (self.const(1) / self) ** -k
+        out = self.const(1)
         for _ in range(k):
             out = out * self
         return out
 
-    # -- calculus / evaluation ----------------------------------------
+    # -- calculus / evaluation ----------------------------------------------------
     def derivative(self):
-        return TauPoly({k - 1: v * k for k, v in self.coeffs.items() if k != 0})
+        return self._wrap(self.context,
+                          {k - 1: c * k for k, c in self.terms.items() if k})
 
-    def __call__(self, value):
-        out = QC_ZERO if isinstance(value, (QC, *_EXACT)) else 0j
-        for k, v in self.coeffs.items():
-            if isinstance(value, (QC, *_EXACT)):
-                vv = QC(value) if not isinstance(value, QC) else value
-                out = out + v * vv ** k
-            else:
-                out = out + complex(v) * value ** k
-        return out
+    def __call__(self, x):
+        """The value at ``x``: exact at an exact ``x``, else a complex."""
+        if is_exact(x):
+            x, start = coerce(x), QC_ZERO
+        else:
+            start = 0j
+        return sum((c * x ** k for k, c in self.terms.items()), start)
 
-    # -- comparison ----------------------------------------------------
+    # -- comparison / printing ----------------------------------------------------
     def __eq__(self, other):
-        if isinstance(other, TauPoly):
-            return self.coeffs == other.coeffs
-        if isinstance(other, (QC, *_EXACT)):
-            o = QC(other) if not isinstance(other, QC) else other
-            if o.is_zero():
-                return not self.coeffs
-            return self.coeffs == {0: o}
-        return NotImplemented
+        o = self._promote(other)
+        if o is None:
+            return NotImplemented
+        return self.terms == o.terms
 
     def __hash__(self):
-        if not self.coeffs.keys() - {0}:
-            return hash(self.coeffs.get(0, QC_ZERO))   # equal to that constant
-        return hash(frozenset(self.coeffs.items()))
+        if not self.terms.keys() - {0}:
+            return hash(self.terms.get(0, 0))   # equal to that constant
+        return hash(frozenset(self.terms.items()))
 
     def __bool__(self):
-        return bool(self.coeffs)
+        return bool(self.terms)
 
     def __str__(self):
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for k in sorted(self.coeffs):
-            c = self.coeffs[k]
-            if k == 0:
-                parts.append(str(c))
-            elif k == 1:
-                parts.append(f"{c}*tau")
-            else:
-                parts.append(f"{c}*tau^{k}")
-        return " + ".join(parts)
+        x = self.context
+        parts = [str(c) if k == 0 else f"{c}*{x}" if k == 1 else f"{c}*{x}^{k}"
+                 for k, c in sorted(self.terms.items())]
+        return " + ".join(parts) or "0"
 
     __repr__ = __str__
 
 
-class PiScalar:
-    """An exact coefficient times an integer power of pi.
+class TauPoly(Laurent):
+    """Laurent polynomial in the formal heat time tau, enough to
+    differentiate heat kernels in time without evaluating them."""
 
-    Addition is only defined between equal powers (or with zero); products
-    and quotients combine powers.  Used for supertrace normalizations.
-    """
+    __slots__ = ()
+    context = "tau"
 
-    __slots__ = ("value", "pi")
+
+class PiScalar(Laurent):
+    """Laurent polynomial in pi, such as (4 pi tau)^(-d/2) at a numeric tau
+    or (2 pi i)^(-d/2).  Since pi is transcendental, powers of pi add as
+    independent terms and equality is exact.  At a formal time the
+    coefficients are themselves TauPoly."""
+
+    __slots__ = ()
+    context = "pi"
 
     def __init__(self, value, pi=0):
-        self.value = coerce(value)
-        self.pi = int(pi)
+        """The monomial value * pi^pi."""
+        value = coerce(value)
+        self.terms = {} if iszero(value) else {int(pi): value}
 
     def evalf(self):
-        return complex(self.value) * math.pi ** self.pi
+        return self(math.pi)
 
     __complex__ = evalf
-
-    def __mul__(self, other):
-        if isinstance(other, PiScalar):
-            return PiScalar(self.value * other.value, self.pi + other.pi)
-        try:
-            c = coerce(other)
-        except TypeError:
-            return NotImplemented
-        return PiScalar(self.value * c, self.pi)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, PiScalar):
-            return PiScalar(self.value / other.value, self.pi - other.pi)
-        return PiScalar(self.value / coerce(other), self.pi)
-
-    def __neg__(self):
-        return PiScalar(-self.value, self.pi)
-
-    def __add__(self, other):
-        if not isinstance(other, PiScalar):
-            try:
-                other = PiScalar(coerce(other), 0)
-            except TypeError:
-                return NotImplemented
-        if iszero(other.value):
-            return self
-        if iszero(self.value):
-            return other
-        if self.pi != other.pi:
-            raise ValueError("cannot add pi-scalars of different pi power exactly")
-        return PiScalar(self.value + other.value, self.pi)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self + (-other if isinstance(other, PiScalar) else -coerce(other))
-
-    def __eq__(self, other):
-        if isinstance(other, PiScalar):
-            if iszero(self.value) and iszero(other.value):
-                return True
-            return self.pi == other.pi and self.value == other.value
-        try:
-            c = coerce(other)
-        except TypeError:
-            return NotImplemented
-        if iszero(self.value):
-            return iszero(c)
-        return self.pi == 0 and self.value == c
-
-    def __hash__(self):
-        if self.pi == 0 or iszero(self.value):
-            return hash(self.value)   # equal to the bare value
-        return hash((self.pi, self.value))
-
-    def __bool__(self):
-        return not iszero(self.value)
-
-    def __str__(self):
-        if self.pi == 0:
-            return str(self.value)
-        p = "pi" if self.pi == 1 else f"pi^{self.pi}"
-        return f"{self.value}*{p}"
-
-    __repr__ = __str__
 
 
 # (-i)^m by m mod 4, as (real, imaginary) parts

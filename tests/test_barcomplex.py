@@ -322,7 +322,7 @@ def test_chain_nested_list_roundtrip():
 def test_value_kind_mismatch_rejected():
     table = simple_table()
     scalar = Cochain.unit(table)
-    matrix = Cochain.unit(table, kind="matrix", dim=2)
+    matrix = Cochain.unit(table, dim=2)
     with pytest.raises(ValueError):
         cochain_mul(scalar, matrix)
 
@@ -330,8 +330,8 @@ def test_value_kind_mismatch_rejected():
 def test_matrix_cochain_grading_checked():
     table = simple_table()
     with pytest.raises(ValueError):
-        Cochain.unit(table, kind="matrix", dim=4, dim_plus=5)
-    balanced = Cochain.unit(table, kind="matrix", dim=4)
+        Cochain.unit(table, dim=4, dim_plus=5)
+    balanced = Cochain.unit(table, dim=4)
     assert balanced.dim_plus == 2
     with pytest.raises(ValueError):
-        cochain_mul(balanced, Cochain.unit(table, kind="matrix", dim=4, dim_plus=3))
+        cochain_mul(balanced, Cochain.unit(table, dim=4, dim_plus=3))

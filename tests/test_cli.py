@@ -53,7 +53,9 @@ def test_check_bar(table_file, capsys):
 
 
 def _model_doc():
-    rng = random.Random(9)
+    # seed 11 draws p with a nonzero lower-left entry, so the curvature
+    # words have nonzero traces and the chain is not one word
+    rng = random.Random(11)
     table = GeneratorTable(6)
     table.add_generator("y", 3)
     table.add_generator("w", 2)
@@ -80,6 +82,8 @@ def test_mckean_singer_cli(tmp_path, capsys):
     assert code == 0
     assert doc["ok"]
     assert doc["difference"] < 1e-8
+    # the comparison is not between two values that vanish
+    assert abs(complex(*doc["lhs"])) > 1e-4
     # the chain is summed in closed form: no series keys, no --n-max
     assert set(doc) == {"lhs", "rhs_heat_sq", "difference", "ok", "relations"}
     with pytest.raises(SystemExit):
@@ -92,7 +96,7 @@ def test_bismut_chern_cli(tmp_path, capsys):
     code, doc = run_cli(capsys, ["bismut-chern", str(path), "--n-max", "1"])
     assert code == 0
     assert doc["ok"] and doc["cyclic"] and doc["even"]
-    assert doc["words"] >= 1
+    assert doc["words"] > 1
 
 
 def test_mehler_cli(tmp_path, capsys):
@@ -110,6 +114,25 @@ def test_mehler_cli(tmp_path, capsys):
     assert code == 0
     assert doc["ok"] and doc["semigroup_exact"] and doc["heat_equation_exact"]
     assert doc["kappa_constant"] == "-1/2"
+
+
+def test_mehler_cli_convolves_with_the_kappa_it_derives(tmp_path, capsys, monkeypatch):
+    # a wrong derived constant must break the semigroup check it reports
+    import chernloc.mehler as mh
+    monkeypatch.setattr(mh, "solve_kappa_constant", lambda R: Fraction(-1, 4))
+    path = tmp_path / "mehler.json"
+    path.write_text(json.dumps({
+        "d": 4,
+        "generators": ["u", "v"],
+        "R": [["0", "u", "0", "0"], ["-u", "0", "0", "0"],
+              ["0", "0", "0", "v"], ["0", "0", "-v", "0"]],
+        "taus": ["1/4", "1/2"],
+    }))
+    code, doc = run_cli(capsys, ["mehler", str(path)])
+    assert code == 1
+    assert doc["kappa_constant"] == "-1/4"
+    assert doc["semigroup_exact"] is False and not doc["ok"]
+    assert doc["heat_equation_exact"]
 
 
 def test_localize_cli(tmp_path, capsys):

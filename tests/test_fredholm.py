@@ -51,6 +51,16 @@ def test_model_rejects_even_q():
         FredholmModel(t, 2, 2, Q, {})
 
 
+def test_model_takes_a_small_odd_q_as_odd():
+    # the parity test is the cochain one: a matrix below the 1e-12 floor
+    # has either parity, so a small odd Q is not judged even
+    t = base_table()
+    Q = 1e-13 * np.kron([[0, 1], [1, 0]], np.eye(2)).astype(complex)
+    assert FredholmModel(t, 2, 2, Q, {}).Q is not None
+    with pytest.raises(ValueError, match="Q is not odd"):
+        FredholmModel(t, 2, 2, Q + 1e-3 * np.eye(4), {})
+
+
 def test_relation_report_on_unit():
     rng = random.Random(0)
     t = base_table()
@@ -361,8 +371,7 @@ def test_exponential_commutator_supertrace_vanishes_on_cyclic_words():
             - simplex_matrix_integral(A, [F.eval_word(word)])
 
     from chernloc.barcomplex import Cochain
-    exp_f = Cochain(t, 0, {0: exp_f0, 1: exp_f1, 2: exp_f2},
-                    kind="matrix", dim=m.dim)
+    exp_f = Cochain(t, 0, {0: exp_f0, 1: exp_f1, 2: exp_f2}, dim=m.dim)
     omega = connection_cochain(m)
     left = cochain_mul(exp_f, omega)
     right = cochain_mul(omega, exp_f)

@@ -6,7 +6,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from chernloc.scalars import (QC, PiScalar, TauPoly, bernoulli_numbers,
-                              coerce, iszero, two_over_i_pow,
+                              coerce, is_exact, iszero, two_over_i_pow,
                               two_pi_i_inv_pow)
 
 
@@ -66,10 +66,31 @@ def test_pi_scalar_arithmetic():
     assert x + y == PiScalar(QC(5), -1)
     assert x * y == PiScalar(QC(6), -2)
     assert (x / y) == PiScalar(QC(Fraction(2, 3)), 0)
-    with pytest.raises(ValueError):
-        x + PiScalar(QC(1), 0)
+    # pi is transcendental, so different powers add as independent terms
+    s = x + PiScalar(QC(1), 0)
+    assert s.terms == {-1: QC(2), 0: QC(1)} and str(s) == "2*pi^-1 + 1"
+    assert s == x + 1 and s - x == 1
+    assert abs(complex(s) - (2 / math.pi + 1)) < 1e-12
     assert PiScalar(QC(0), 5) == 0
     assert abs(complex(x) - 2 / 3.141592653589793) < 1e-12
+
+
+def test_tau_and_pi_do_not_mix():
+    t, p = TauPoly.const(1), PiScalar(2, 0)
+    for op in (lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a * b,
+               lambda a, b: a / b):
+        with pytest.raises(TypeError):
+            op(t, p)
+        with pytest.raises(TypeError):
+            op(p, t)
+    assert t != p and t == 1 and p == 2
+
+
+def test_a_float_coefficient_stays_inexact():
+    t = TauPoly({0: 0.1})
+    assert t.terms == {0: 0.1 + 0j} and str(t) == "(0.1+0j)"
+    assert not is_exact(t) and is_exact(TauPoly({0: Fraction(1, 10)}))
+    assert not is_exact(TauPoly.var(1) * 0.5) and not is_exact(PiScalar(0.5, 1))
 
 
 def test_supertrace_constants():
@@ -261,3 +282,60 @@ def test_qc_division_by_zero_raises(a):
         QC(0).inverse()
     with pytest.raises(ZeroDivisionError):
         QC(0) ** -1
+
+
+# -- the Laurent ring, in tau and in pi ---------------------------------------------
+
+laurent_powers = st.integers(-3, 3)
+laurent_coeffs = st.builds(QC, small_parts, small_parts)
+# up to four terms of powers in [-3, 3]; a monomial has one nonzero term
+laurent_terms = st.dictionaries(laurent_powers, laurent_coeffs, max_size=4)
+monomial_terms = st.tuples(laurent_powers, laurent_coeffs.filter(bool))
+
+
+def laurent(cls, terms):
+    """The polynomial with these terms, as a sum of monomials."""
+    return sum((cls.var(k, c) for k, c in terms.items()), cls.const(0))
+
+
+@pytest.mark.parametrize("cls", [TauPoly, PiScalar])
+@given(laurent_terms, laurent_terms, laurent_terms)
+def test_laurent_ring_laws_hold_exactly(cls, ta, tb, tc):
+    a, b, c = laurent(cls, ta), laurent(cls, tb), laurent(cls, tc)
+    assert (a + b) + c == a + (b + c)
+    assert (a * b) * c == a * (b * c)
+    assert a + b == b + a and a * b == b * a
+    assert a * (b + c) == a * b + a * c
+    assert (a - b) + b == a and a - a == 0 and -(-a) == a
+    assert a + 0 == a and a * 1 == a and a * 0 == 0
+    assert a * b == sum((cls.var(ka + kb, ca * cb) for ka, ca in a for kb, cb in b),
+                        cls.const(0))
+
+
+@pytest.mark.parametrize("cls", [TauPoly, PiScalar])
+@given(laurent_terms, laurent_terms)
+def test_laurent_derivative_obeys_leibniz(cls, ta, tb):
+    a, b = laurent(cls, ta), laurent(cls, tb)
+    assert (a * b).derivative() == a.derivative() * b + a * b.derivative()
+    assert (a + b).derivative() == a.derivative() + b.derivative()
+    assert cls.var(3, 2).derivative() == cls.var(2, 6)
+
+
+@pytest.mark.parametrize("cls", [TauPoly, PiScalar])
+@given(laurent_terms, monomial_terms)
+def test_laurent_division_by_a_monomial_inverts_the_product(cls, ta, km):
+    a, m = laurent(cls, ta), cls.var(*km)
+    assert (a / m) * m == a
+    assert (a * m) / m == a
+    assert m ** -2 * m ** 2 == 1
+
+
+@pytest.mark.parametrize("cls", [TauPoly, PiScalar])
+@given(laurent_terms, monomial_terms, small_parts)
+def test_laurent_equal_values_hash_alike(cls, ta, km, x):
+    a, m = laurent(cls, ta), cls.var(*km)
+    for b in (a + 0, a * 1, (a - m) + m, -(-a), (a * m) / m, a + a - a):
+        assert b == a and hash(b) == hash(a)
+    const = cls.const(x)
+    assert const == x and hash(const) == hash(x)
+    assert (const + a) - a == x and hash((const + a) - a) == hash(x)
