@@ -7,16 +7,18 @@ The package is organized around:
   algebras with a degree (-1) extension variable and d_T = d - iota;
 * :mod:`chernloc.clifford`   -- Cl(R^d), quantization map, Clifford symbol,
   Berezin supertrace, spinor representation;
-* :mod:`chernloc.barcomplex` -- bar and cyclic chains, the restriction map,
-  and the cochain algebra with its codifferential;
+* :mod:`chernloc.barcomplex` -- bar and cyclic chains, the restriction map
+  rho = (1/N!) theta''_1 ^ ... ^ theta''_N, and the cochain algebra with its
+  codifferential;
 * :mod:`chernloc.fredholm`   -- finite matrix models, the curvature cochain,
   the perturbation-series character, idempotent chains, the heat-supertrace
   comparison;
 * :mod:`chernloc.mehler`     -- nilpotent Gaussian calculus: the
   characteristic form, oscillator kernels, twisted convolution, boundary
   supertrace;
-* :mod:`chernloc.localize`   -- structural small-time limit against the
-  characteristic-form side;
+* :mod:`chernloc.localize`   -- the localization formula on one restriction
+  rho: the boundary supertrace of rho times the time-one heat element
+  against (2 pi i)^(-d/2) [A-hat(R) ^ rho]_top;
 * :mod:`chernloc.torus`      -- spectral convergence checks on a flat torus.
 """
 
@@ -27,8 +29,7 @@ from .clifford import (CliffordElement, berezin_str, exterior_table, quantize,
 from .formmatrix import FormMatrix
 from .fredholm import (FredholmModel, bismut_chern, chern_t,
                        curvature_cochain, mckean_singer_check)
-from .localize import (LocalizationCase, limit_theorem_check, localized_term,
-                       symbol_of_F)
+from .localize import limit_theorem_check
 from .mehler import (KAPPA_COEFF, CurvatureMatrix, GaussianKernel, a_hat,
                      heat_element, heat_equation_residual, kappa_form,
                      mehler_kernel, solve_kappa_constant, str_zero,
@@ -48,7 +49,7 @@ __all__ = [
     "FormMatrix",
     "FredholmModel", "bismut_chern", "chern_t", "curvature_cochain",
     "mckean_singer_check",
-    "LocalizationCase", "limit_theorem_check", "localized_term", "symbol_of_F",
+    "limit_theorem_check",
     "KAPPA_COEFF", "CurvatureMatrix", "GaussianKernel", "a_hat",
     "heat_element", "heat_equation_residual", "kappa_form", "mehler_kernel",
     "solve_kappa_constant", "str_zero", "twisted_convolve",

@@ -26,7 +26,7 @@ from math import factorial
 
 import numpy as np
 
-from .multiform import FormElement
+from .multiform import SIGMA_ID, FormElement
 from .scalars import QC, QC_ONE, QC_ZERO, TermMap, _add_term, coerce, iszero
 
 # -- chains -------------------------------------------------------------------
@@ -211,25 +211,28 @@ def is_cyclic(chain):
 
 
 def restrict_i(chain):
-    """(theta_1, ..., theta_N) -> (1/N!) theta_1'' ^ ... ^ theta_N''."""
+    """The restriction map rho: (theta_1, ..., theta_N) ->
+    (1/N!) theta_1'' ^ ... ^ theta_N'', with theta = theta' + sigma theta''.
+
+    A monomial slot's theta'' is the monomial without its leading sigma; a
+    word with a sigma-free slot restricts to zero.  The slots' theta'' are
+    multiplied through the table's product memo.  Returns a form.
+    """
     table = chain.table
-    out = table.zero()
+    out = {}
     for word, coeff in chain.terms.items():
-        value = table.one()
-        dead = False
-        for mono in word:
-            second = FormElement(table, {mono: QC_ONE}).iota()
-            if second.is_zero():
-                dead = True
+        mono, sign = (), 1
+        for slot in word:
+            if not slot or slot[0] != SIGMA_ID:
                 break
-            value = value * second
-            if value.is_zero():
-                dead = True
+            mono, s = table.mono_product(mono, slot[1:])
+            if mono is None:
                 break
-        if dead:
-            continue
-        out += value.scale(coeff * QC(1) / factorial(len(word)))
-    return out
+            sign *= s
+        else:
+            c = coeff * QC(1) / factorial(len(word))
+            _add_term(out, mono, c if sign > 0 else -c)
+    return FormElement._wrap(table, out)
 
 
 # -- cochains -------------------------------------------------------------------

@@ -167,15 +167,36 @@ def cmd_bismut_chern(args):
 # -- mehler -------------------------------------------------------------------------
 
 
+def _json_list(doc, key, default):
+    value = doc.get(key, default)
+    if not isinstance(value, list):
+        raise ValueError(f"{key!r} must be a JSON list, got {value!r}")
+    return value
+
+
+def _load_curvature(doc):
+    """(d, table, R) of a ``mehler`` or ``localize`` document: the fiber
+    dimension ``d``, the ``table`` or the degree-2 ``generators`` over
+    ``GeneratorTable(d)``, and the curvature matrix ``R``."""
+    d = doc["d"]
+    if "table" in doc:
+        table = _load_table(doc["table"])
+    else:
+        table = GeneratorTable(d)
+        for name in _json_list(doc, "generators", []):
+            table.add_generator(name, 2)
+    R = mehler.CurvatureMatrix.from_rows(table, doc["R"])
+    if d != R.d:
+        raise ValueError(f"fiber dimension {d} does not match the "
+                         f"{R.d} x {R.d} curvature matrix")
+    return d, table, R
+
+
 def cmd_mehler(args):
     with open(args.config) as fh:
         doc = json.load(fh)
-    d = doc["d"]
-    table = GeneratorTable(d)
-    for name in doc.get("generators", []):
-        table.add_generator(name, 2)
-    R = mehler.CurvatureMatrix.from_rows(table, doc["R"])
-    taus = [Fraction(str(x)) for x in doc.get("taus", ["1/4", "1/2", "1"])]
+    _, table, R = _load_curvature(doc)
+    taus = [Fraction(str(x)) for x in _json_list(doc, "taus", ["1/4", "1/2", "1"])]
     if not taus:
         raise ValueError("taus must not be empty, got []")
     kappa = mehler.solve_kappa_constant(R=R)
@@ -213,13 +234,8 @@ def cmd_mehler(args):
 def cmd_localize(args):
     with open(args.case) as fh:
         doc = json.load(fh)
-    d = doc["d"]
-    table = _load_table(doc["table"]) if "table" in doc else GeneratorTable(d)
-    if "table" not in doc:
-        for name in doc.get("generators", []):
-            table.add_generator(name, 2)
-    R = mehler.CurvatureMatrix.from_rows(table, doc["R"])
-    word = tuple(table.parse(s) for s in doc.get("word", []))
+    d, table, R = _load_curvature(doc)
+    word = tuple(table.parse(s) for s in _json_list(doc, "word", []))
     rep = localize.limit_theorem_check(d, R, word)
     return _emit(rep.as_dict(), rep.ok)
 

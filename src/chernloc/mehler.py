@@ -472,19 +472,16 @@ def kernel_max_residual(a, b):
 
 
 def str_zero(x):
-    """Boundary supertrace: evaluate at the origin, scale by (2/i)^(d/2),
-    extract the top-degree coefficient (the single-fiber model of the
-    integral over the base).
+    """Boundary supertrace of a one-variable GaussianKernel: evaluate at the
+    origin, scale by (2/i)^(d/2), extract the top-degree coefficient (the
+    single-fiber model of the integral over the base).
 
-    Accepts a one-variable GaussianKernel or a plain FormElement.  Returns a
-    top-degree FormElement; kernel input yields PiScalar coefficients that
-    carry the pi power of the normalization (their own coefficients are
-    TauPoly at a formal time).
+    Returns a top-degree FormElement whose PiScalar coefficients carry the
+    pi power of the normalization (their own coefficients are TauPoly at a
+    formal time).
     """
-    if isinstance(x, GaussianKernel):
-        top = x.prefactor.top_component().scale(x.norm * two_over_i_pow(x.d))
-        return FormElement._wrap(x.table, {m: PiScalar(c, x.pi_pow) for m, c in top})
-    return x.top_component().scale(two_over_i_pow(x.table.top_degree))
+    top = x.prefactor.top_component().scale(x.norm * two_over_i_pow(x.d))
+    return FormElement._wrap(x.table, {m: PiScalar(c, x.pi_pow) for m, c in top})
 
 
 # -- heat equation ------------------------------------------------------------------

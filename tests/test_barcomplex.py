@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -142,6 +143,23 @@ def test_restriction_examples():
     # an entry without sigma part kills the word
     assert restrict_i(BarChain.from_word(t, (s * f, g))).is_zero()
     assert restrict_i(BarChain.from_word(t, ())) == t.one()
+
+
+def test_restriction_is_the_wedge_of_the_sigma_parts():
+    # oracle: split each letter of a word of forms, theta = theta' +
+    # sigma theta'', and wedge the theta'' as forms
+    rng = random.Random(29)
+    nonzero = 0
+    for _ in range(60):
+        table = random_table(rng)
+        word = tuple(random_form(table, rng) for _ in range(rng.randint(0, 3)))
+        want = table.one()
+        for theta in word:
+            want = want * theta.split_sigma()[1]
+        want = want.scale(Fraction(1, math.factorial(len(word))))
+        assert restrict_i(BarChain.from_word(table, word)) == want
+        nonzero += not want.is_zero()
+    assert nonzero >= 20
 
 
 def test_restriction_of_symmetrized_sigma_pure_word():

@@ -165,7 +165,8 @@ def test_localize_cli_d6_letter_with_two_homogeneous_parts(tmp_path, capsys):
     code, doc = run_cli(capsys, ["localize", str(path)])
     assert code == 0
     assert doc["ok"] is True and doc["exact_equal"]
-    assert doc["patterns"] == 2 and doc["lhs"] != "0"
+    # the one letter splits one way, whatever its degrees
+    assert doc["patterns"] == 1 and doc["lhs"] != "0"
 
 
 def test_torus_cli(capsys):
@@ -491,3 +492,37 @@ def test_localize_fiber_dimension_other_than_the_table_is_a_json_error(tmp_path,
     assert code == 2
     assert doc == {"ok": False, "error": "ValueError: fiber dimension 6 does not "
                                          "match the 4 x 4 curvature matrix"}
+
+
+D2 = {"d": 2, "generators": ["u"], "R": [["0", "u"], ["-u", "0"]]}
+
+
+@pytest.mark.parametrize("command, key, value", [
+    ("mehler", "generators", "uw"),       # read as the generators u and w
+    ("localize", "generators", "uw"),
+    ("localize", "word", "sigma u"),      # read as the letters s, i, g, ...
+    ("mehler", "taus", "1/2"),            # read as the times 1, /, 2
+])
+def test_a_string_where_a_list_belongs_is_a_json_error(tmp_path, capsys, command,
+                                                        key, value):
+    path = tmp_path / "case.json"
+    path.write_text(json.dumps({**D2, key: value}))
+    code, doc = run_cli(capsys, [command, str(path)])
+    assert code == 2
+    assert doc == {"ok": False,
+                   "error": f"ValueError: {key!r} must be a JSON list, got {value!r}"}
+
+
+@pytest.mark.parametrize("command", ["mehler", "localize"])
+def test_curvature_documents_read_a_table(tmp_path, capsys, command):
+    table = {"top_degree": 2, "generators": [["u", 2, "0"]]}
+    path = tmp_path / "case.json"
+    path.write_text(json.dumps({"d": 2, "table": table, "R": D2["R"],
+                                "word": ["sigma u"]}))
+    code, doc = run_cli(capsys, [command, str(path)])
+    assert code == 0 and doc["ok"]
+    path.write_text(json.dumps({"d": 4, "table": table, "R": D2["R"]}))
+    code, doc = run_cli(capsys, [command, str(path)])
+    assert code == 2
+    assert doc == {"ok": False, "error": "ValueError: fiber dimension 4 does not "
+                                         "match the 2 x 2 curvature matrix"}

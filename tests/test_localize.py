@@ -3,10 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from chernloc.localize import (LocalizationCase, limit_theorem_check,
-                               localized_term, symbol_of_F)
 from chernloc.formmatrix import FormMatrix
-from chernloc.mehler import CurvatureMatrix, a_hat
+from chernloc.localize import limit_theorem_check
+from chernloc.mehler import CurvatureMatrix, a_hat, heat_prefactor
 from chernloc.multiform import GeneratorTable
 from chernloc.sampling import random_form
 from chernloc.scalars import QC, two_pi_i_inv_pow
@@ -14,63 +13,14 @@ from chernloc.scalars import QC, two_pi_i_inv_pow
 from conftest import random_antisymmetric_curvature
 
 
-# -- block symbols ----------------------------------------------------------------------
-
-
-def test_symbol_one_slot_wedges_by_second_part(curvature_d2):
-    table, _ = curvature_d2
-    w = table.gen("w")
-    theta = table.sigma() * w
-    assert symbol_of_F(theta) == w
-    assert symbol_of_F(w).is_zero()          # theta'' = 0
-
-
-def test_symbol_two_slots_vanish(curvature_d2):
-    table, _ = curvature_d2
-    w = table.gen("w")
-    assert symbol_of_F(table.sigma() * w, w).is_zero()
-
-
-def test_symbol_rejects_three_slots(curvature_d2):
-    table, _ = curvature_d2
-    w = table.gen("w")
-    with pytest.raises(ValueError):
-        symbol_of_F(w, w, w)
-
-
-# -- localized terms ------------------------------------------------------------------------
-
-
-def test_vanishing_for_incomplete_patterns(curvature_d4):
-    table, R = curvature_d4
-    s = table.sigma()
-    u, v = table.gen("u"), table.gen("v")
-    case = LocalizationCase(4, R, (s * u, s * v), (2,))
-    assert localized_term(case).is_zero()
-    case = LocalizationCase(4, R, (s * u, s * v, s * u), (2, 3))
-    assert localized_term(case).is_zero()
-    case = LocalizationCase(4, R, (s * u, s * v, s * u), (1, 3))
-    assert localized_term(case).is_zero()
-
-
-def test_invalid_gap_patterns_rejected(curvature_d4):
-    table, R = curvature_d4
-    s = table.sigma()
-    u = table.gen("u")
-    with pytest.raises(ValueError):
-        LocalizationCase(4, R, (s * u, s * u, s * u), (3,))
-    with pytest.raises(ValueError):
-        LocalizationCase(4, R, (s * u, s * u), (1,))
-    with pytest.raises(ValueError):
-        LocalizationCase(4, R, (s * u,), ())
+# -- the two sides ---------------------------------------------------------------------------
 
 
 def test_empty_word_gives_characteristic_top_form(curvature_d4):
-    table, R = curvature_d4
-    case = LocalizationCase(4, R, (), ())
-    value = localized_term(case)
+    _, R = curvature_d4
+    rep = limit_theorem_check(4, R, ())
     want = a_hat(R).top_component().scale(two_pi_i_inv_pow(4))
-    assert value == want
+    assert rep.lhs == want and rep.exact_equal
 
 
 def test_worked_d2_example(curvature_d2):
@@ -78,10 +28,98 @@ def test_worked_d2_example(curvature_d2):
     table, R = curvature_d2
     alpha = QC(Fraction(5, 3))
     w = table.gen("w")
-    case = LocalizationCase(2, R, (table.sigma() * w.scale(alpha),), (1,))
-    value = localized_term(case)
-    want = w.scale(alpha).scale(two_pi_i_inv_pow(2))
-    assert value == want
+    rep = limit_theorem_check(2, R, (table.sigma() * w.scale(alpha),))
+    assert rep.lhs == w.scale(alpha).scale(two_pi_i_inv_pow(2))
+    assert rep.exact_equal
+
+
+def test_worked_d4_example_carries_the_simplex_volume(curvature_d4):
+    # (sigma u, sigma v) at d = 4: A-hat is 1 below degree four, so the
+    # limit is (2 pi i)^(-2) (1/2!) [u v]
+    table, R = curvature_d4
+    s, u, v = table.sigma(), table.gen("u"), table.gen("v")
+    rep = limit_theorem_check(4, R, (s * u, s * v))
+    assert rep.lhs == (u * v).scale(Fraction(1, 2)).scale(two_pi_i_inv_pow(4))
+    assert rep.exact_equal
+
+
+def _homogeneous_words(word):
+    """The homogeneous sub-words of a word, whose sum it is."""
+    words = [()]
+    for theta in word:
+        words = [prefix + (part,) for prefix in words
+                 for part in theta.homogeneous_parts().values()]
+    return words
+
+
+def test_lhs_is_the_sum_over_homogeneous_sub_words():
+    # the restriction is multilinear, so a mixed word needs no expansion
+    rng = random.Random(20)
+    mixed = nontrivial = 0
+    for d in (2, 4, 6):
+        table = GeneratorTable(d)
+        for name in ("u", "v", "w")[: d // 2]:
+            table.add_generator(name, 2)
+        table.add_generator("x", 1)
+        for _ in range(12):
+            R = random_antisymmetric_curvature(table, d, rng)
+            word = tuple(random_form(table, rng, n_terms=3)
+                         for _ in range(rng.randint(1, 2)))
+            parts = _homogeneous_words(word)
+            mixed += len(parts) > 1
+            lhs = limit_theorem_check(d, R, word).lhs
+            want = table.zero()
+            for hw in parts:
+                want += limit_theorem_check(d, R, hw).lhs
+            assert lhs == want, (d, word)
+            nontrivial += len(parts) > 1 and not lhs.is_zero()
+    assert mixed >= 15 and nontrivial >= 3
+
+
+def test_heat_prefactor_runs_once_on_a_letter_of_two_degrees(monkeypatch):
+    # the d = 6 letter of the README, with parts of degrees 1 and 3
+    import chernloc.localize as loc
+    table = GeneratorTable(6)
+    for name in ("u", "v", "w"):
+        table.add_generator(name, 2)
+    R = CurvatureMatrix.from_rows(table, [
+        ["0", "u", "0", "0", "0", "w"], ["-u", "0", "0", "0", "0", "0"],
+        ["0", "0", "0", "v", "0", "0"], ["0", "0", "-v", "0", "0", "0"],
+        ["0", "0", "0", "0", "0", "w"], ["-w", "0", "0", "0", "-w", "0"]])
+    calls = []
+
+    def counted(tau, R):
+        calls.append(tau)
+        return heat_prefactor(tau, R)
+
+    monkeypatch.setattr(loc, "heat_prefactor", counted)
+    rep = limit_theorem_check(6, R, (table.parse("sigma u + sigma u v"),))
+    assert rep.exact_equal and not rep.lhs.is_zero()
+    assert calls == [1]
+
+
+def test_zero_restriction_builds_neither_side(curvature_d4, monkeypatch):
+    import chernloc.localize as loc
+    table, R = curvature_d4
+    s, u, v = table.sigma(), table.gen("u"), table.gen("v")
+
+    def refuse(*args):
+        raise AssertionError("a side was built for a zero restriction")
+
+    monkeypatch.setattr(loc, "heat_prefactor", refuse)
+    monkeypatch.setattr(loc, "a_hat", refuse)
+    # a sigma-free slot, a product of degree above d, a zero slot
+    for word in ((u,), (s * u, v), (s * (u * v), s * u), (s * u, table.zero())):
+        rep = limit_theorem_check(4, R, word)
+        assert rep.lhs.is_zero() and rep.rhs.is_zero()
+        assert rep.exact_equal and rep.ok
+
+
+def test_patterns_count_the_splittings_into_one_and_two_slot_blocks(curvature_d2):
+    table, R = curvature_d2
+    w = table.sigma() * table.gen("w")
+    counts = [limit_theorem_check(2, R, (w,) * n).patterns for n in range(6)]
+    assert counts == [1, 1, 2, 3, 5, 8]
 
 
 # -- the limit theorem ---------------------------------------------------------------------------
@@ -134,7 +172,6 @@ def test_limit_theorem_random_suite():
                     f = random_form(table, rng, n_terms=2)
                     word.append(f if not f.is_zero() else table.one())
                 rep = limit_theorem_check(d, R, tuple(word))
-                assert rep.vanishing_patterns_zero
                 assert rep.exact_equal, (d, n_word)
                 checked += 1
                 if not rep.rhs.is_zero():
@@ -144,25 +181,21 @@ def test_limit_theorem_random_suite():
 
 
 def test_limit_theorem_float_words_at_d6_take_the_residual_branch():
-    # float coefficients with six decimals round differently on the two
-    # sides at d = 6, so the report falls back to the coefficient gap
+    # float word coefficients at exact curvature: both sides multiply the
+    # same restriction by exact forms, so they agree exactly and the
+    # residual branch is never taken (float curvature takes it, below)
     rng = random.Random(6)
     table = GeneratorTable(6)
     table.add_generator("u", 2)
     table.add_generator("v", 2)
     R = random_antisymmetric_curvature(table, 6, rng, density=1.0)
     s, u = table.sigma(), table.gen("u")
-    inexact = 0
     for _ in range(12):
         c1, c2 = (round(rng.uniform(-1, 1), 6) for _ in range(2))
         rep = limit_theorem_check(6, R, ((s * u).scale(c1), s.scale(c2)))
-        assert rep.ok
-        assert rep.residual <= 1e-18
-        if rep.lhs != rep.rhs:
-            inexact += 1
-            assert not rep.exact_equal
-            assert rep.residual > 0.0
-    assert inexact >= 1
+        assert rep.ok and not rep.lhs.is_zero()
+        assert rep.lhs == rep.rhs and rep.exact_equal
+        assert rep.residual == 0.0
 
 
 def test_limit_theorem_float_curvature_at_d6_takes_the_residual_branch():

@@ -8,7 +8,7 @@ import pytest
 from chernloc.formmatrix import FormMatrix, det_leibniz
 from chernloc.mehler import (KAPPA_COEFF, CurvatureMatrix, GaussianKernel,
                              a_hat, heat_element,
-                             heat_equation_residual, kappa_form,
+                             heat_equation_residual, heat_prefactor, kappa_form,
                              kernel_max_residual, mehler_kernel,
                              solve_kappa_constant, str_zero, twist_factor,
                              twisted_convolve)
@@ -387,13 +387,18 @@ def test_str_zero_flat_d2_vanishes(curvature_d2):
 
 
 def test_str_zero_on_forms(curvature_d2):
-    table, _ = curvature_d2
+    # a form enters the supertrace as a kernel's prefactor; the flat
+    # time-one prefactor is 1 with norm (4 pi)^(-1)
+    table, R = curvature_d2
     w = table.gen("w")
-    out = str_zero(w)
-    assert out == w.scale(two_over_i_pow(2))
-    assert str_zero(table.one()).is_zero()            # degree < d
-    a, b = table.scalar(2) * w, table.scalar(3) * w
-    assert str_zero(a + b) == str_zero(a) + str_zero(b)
+    flat = heat_prefactor(1, CurvatureMatrix.zero(table, 2))
+    assert str_zero(flat.scale_prefactor(w)) == w.scale(two_pi_i_inv_pow(2))
+    for low in (table.one(), table.sigma() * w, table.scalar(3)):   # degree < d
+        assert str_zero(flat.scale_prefactor(low)).is_zero()
+    a, b = table.scalar(2) * w + table.one(), table.scalar(3) * w - table.sigma() * w
+    for K in (flat, heat_prefactor(1, R), heat_prefactor(Fraction(1, 2), R)):
+        assert (str_zero(K.scale_prefactor(a + b))
+                == str_zero(K.scale_prefactor(a)) + str_zero(K.scale_prefactor(b)))
 
 
 # -- numeric Gaussian data from the elimination ----------------------------------------------------

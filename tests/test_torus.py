@@ -192,12 +192,12 @@ def test_convergence_report_rows():
 def test_matches_symbolic_constant_at_zero_curvature(curvature_d2):
     # the spectral limit and the symbolic boundary evaluation carry the same
     # (2 pi i)^(-1) normalization
-    from chernloc.localize import LocalizationCase, localized_term
+    from chernloc.localize import limit_theorem_check
     from chernloc.mehler import CurvatureMatrix
     table, _ = curvature_d2
     R0 = CurvatureMatrix.zero(table, 2)
     w = table.gen("w")
-    value = localized_term(LocalizationCase(2, R0, (table.sigma() * w,), (1,)))
+    value = limit_theorem_check(2, R0, (table.sigma() * w,)).lhs
     (_, coeff), = value.terms.items()
     symbolic_constant = complex(coeff.evalf())          # (2 pi i)^(-1)
     model = TorusModel()
