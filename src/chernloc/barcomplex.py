@@ -17,7 +17,9 @@ an entry as soon as its sum cancels, and wraps that dict once without
 copying or rescanning it.  The cost is linear in the number of terms
 produced.  ``b0`` and ``b1`` read the per-monomial ``d_T`` and product
 memos of the :class:`GeneratorTable`, which the table clears whenever a
-generator or a differential changes.
+generator or a differential changes, and every word's shifted degrees come
+from the table's degree memo.  Cyclic membership is one signed rotation
+per word (:func:`is_cyclic`); no symmetrized chain is built.
 """
 
 from __future__ import annotations
@@ -92,10 +94,6 @@ class BarChain(TermMap):
 
     def __len__(self):
         return len(self.terms)
-
-    def length_component(self, n):
-        return BarChain._wrap(self.table,
-                              {w: c for w, c in self.terms.items() if len(w) == n})
 
     # -- serialization ----------------------------------------------------------
     def to_lists(self):
@@ -196,16 +194,25 @@ def cyclic_symmetrize(chain):
 
 
 def is_cyclic(chain):
-    """Membership in the span of symmetrized words.
+    """Membership in the span of symmetrized words, by one signed rotation.
 
-    The symmetrization S satisfies S^2 = N S on length-N words, so the
-    cyclic subspace is exactly the eigenspace S x = N x.
+    Let T rotate a length-N word by one slot, ``word[1:] + word[:1]``, with
+    the sign (-1)^(n_1 (n_N - n_1)).  Its k-th power is the rotation by k
+    with the sign of :func:`cyclic_symmetrize`, and T^N = 1.  So the
+    symmetrization S = sum_k T^k acts as N on the fixed space of T and as 0
+    on the other eigenspaces (the other N-th roots of unity): S x = N x
+    exactly when T x = x.  T permutes basis words, so T x = x is checked
+    one word at a time, and words of length 0 and 1 are fixed by T.
     """
-    for n in sorted({len(w) for w in chain.terms}):
-        comp = chain.length_component(n)
-        if n == 0:
+    table = chain.table
+    terms = chain.terms
+    for word, coeff in terms.items():
+        if len(word) < 2:
             continue
-        if cyclic_symmetrize(comp) != comp.scale(n):
+        degs = _prefix_degrees(table, word)
+        n1 = degs[1]
+        want = -coeff if (n1 * (degs[-1] - n1)) & 1 else coeff
+        if terms.get(word[1:] + word[:1]) != want:
             return False
     return True
 

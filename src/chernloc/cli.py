@@ -35,9 +35,14 @@ def _load_table(spec):
     if isinstance(spec, str):
         with open(spec) as fh:
             return GeneratorTable.from_text(fh.read())
-    return GeneratorTable.build(
-        spec["top_degree"],
-        [(name, deg, diff) for name, deg, diff in spec["generators"]])
+    if not isinstance(spec, dict):
+        raise ValueError(f"'table' must be a file name or a JSON object, got {spec!r}")
+    entries = _json_list(spec, "generators", None)
+    for entry in entries:
+        if not isinstance(entry, list) or len(entry) != 3:
+            raise ValueError("'generators' must list [name, degree, differential] "
+                             f"triples, got {entry!r}")
+    return GeneratorTable.build(spec["top_degree"], entries)
 
 
 def _parse_complex(x):

@@ -22,9 +22,10 @@ Words may have matrix-valued entries (forms tensored with M_n); the
 evaluation then runs on H tensor C^n with the trace pattern of the index
 contraction built in, and is validated against the expanded scalar chain.
 
-Models are immutable after construction apart from an internal memo of
-curvature blocks, so independent character evaluations are safe to run
-concurrently.
+Models are immutable after construction apart from one memo of curvature
+blocks, ``_block_cache``, which ``chern_t`` and :func:`mckean_singer_check`
+fill on the model.  It is keyed by the float ``t`` and has no bound, so a
+model evaluated at many times keeps a block set for each of them.
 """
 
 from __future__ import annotations

@@ -42,9 +42,11 @@ def _integer(value, what):
 class GeneratorTable:
     """Generators, degrees, differentials and the ambient top degree.
 
-    The table keeps three memos, each filled on first use with immutable
-    tuples, so a fresh table costs nothing:
+    The table keeps four memos, each filled on first use with immutable
+    values, so a fresh table costs nothing:
 
+    * the degree of a monomial (:meth:`mono_degree`), read once per slot of
+      every bar word by ``barcomplex._prefix_degrees``;
     * the signed product of an ordered pair of monomials
       (:meth:`mono_product`, a ``(monomial, sign)`` pair), read by every
       form product through :func:`_mul_into` and by ``barcomplex.b1``;
@@ -54,9 +56,11 @@ class GeneratorTable:
     * the terms of ``d_T = d - iota`` of a monomial (:meth:`mono_d_T`),
       read by ``barcomplex.b0``.
 
-    All three are cleared by :meth:`add_generator` and
-    :meth:`set_differential`; their size is bounded by the table's finite
-    set of monomials and of pairs of monomials.
+    The last three are cleared by :meth:`add_generator` and
+    :meth:`set_differential`.  The degree memo never is: a generator's id
+    and degree are fixed when it is added, so a monomial's degree never
+    changes.  Each memo is bounded by the table's finite set of monomials
+    and of pairs of monomials.
     """
 
     def __init__(self, top_degree, generators=()):
@@ -68,6 +72,7 @@ class GeneratorTable:
         self._degrees = [-1]
         self._ids = {SIGMA: SIGMA_ID}
         self._diffs = {}
+        self._degree_memo = {}
         self._product_memo = {}
         self._d_memo = {}
         self._d_T_memo = {}
@@ -152,7 +157,10 @@ class GeneratorTable:
 
     # -- monomial helpers -------------------------------------------------
     def mono_degree(self, mono):
-        return sum(self._degrees[g] for g in mono)
+        deg = self._degree_memo.get(mono)
+        if deg is None:
+            deg = self._degree_memo[mono] = sum(self._degrees[g] for g in mono)
+        return deg
 
     def mono_nonsigma_degree(self, mono):
         return sum(self._degrees[g] for g in mono if g != SIGMA_ID)

@@ -103,15 +103,26 @@ def test_cyclic_two_word_signs():
     assert ch == want
 
 
+def symmetrization_oracle(chain):
+    """Cyclic membership as S x = N x on each length-N component, with S the
+    signed sum of all N rotations."""
+    by_length = {}
+    for word, coeff in chain.terms.items():
+        by_length.setdefault(len(word), {})[word] = coeff
+    for n, terms in by_length.items():
+        comp = BarChain(chain.table, terms)
+        if cyclic_symmetrize(comp) != comp.scale(max(n, 1)):
+            return False
+    return True
+
+
 def test_symmetrizer_eigen_relation_and_membership():
     rng = random.Random(6)
     for _ in range(80):
         table = random_table(rng)
         word = random_word(table, rng, max_len=4)
         sym = cyclic_symmetrize(BarChain.from_word(table, word))
-        for n in {len(w) for w in sym.terms}:
-            comp = sym.length_component(n)
-            assert cyclic_symmetrize(comp) == comp.scale(max(n, 1))
+        assert symmetrization_oracle(sym)
         assert is_cyclic(sym)
 
 
@@ -129,6 +140,35 @@ def test_non_cyclic_detected():
     # (x, xy) alone is not in the cyclic span
     ch = BarChain.from_word(t, (t.gen("x"), t.parse("x y")))
     assert not is_cyclic(ch)
+
+
+def test_one_rotation_agrees_with_the_symmetrization_oracle():
+    rng = random.Random(21)
+    seen = {True: 0, False: 0}
+    for _ in range(120):
+        table = random_table(rng)
+        chain = random_chain(table, rng, max_words=4, max_len=4)
+        sym = cyclic_symmetrize(chain)
+        word = random_word(table, rng, max_len=3)
+        for x in (chain, sym, b(chain), b(sym), sym + BarChain.from_word(table, word)):
+            want = symmetrization_oracle(x)
+            assert is_cyclic(x) == want
+            seen[want] += 1
+    assert min(seen.values()) >= 100
+
+
+def test_self_rotating_word_with_a_minus_sign_is_not_cyclic():
+    t = simple_table()
+    for x, want in ((t.parse("x y"), False), (t.parse("u"), False), (t.gen("x"), True)):
+        # T(x, x) = (-1)^(n_1 n_1) (x, x) with n_1 = |x| - 1, so S(x, x) is 0
+        # for |x| even and 2 (x, x) for |x| odd
+        ch = BarChain.from_word(t, (x, x))
+        assert symmetrization_oracle(ch) is want
+        assert is_cyclic(ch) is want
+    # a cyclic chain plus a word outside the span
+    sym = cyclic_symmetrize(BarChain.from_word(t, (t.gen("x"), t.parse("x y"))))
+    assert is_cyclic(sym)
+    assert not is_cyclic(sym + BarChain.from_word(t, (t.gen("y"), t.gen("u"))))
 
 
 # -- restriction ------------------------------------------------------------------------

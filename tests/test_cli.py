@@ -350,6 +350,29 @@ def test_unknown_generator_in_a_table_is_a_json_error(tmp_path, capsys):
 
 
 
+@pytest.mark.parametrize("table, key", [
+    ({"top_degree": 2, "generators": "uw"}, "generators"),
+    ({"top_degree": 2, "generators": [["u", 2]]}, "generators"),
+    ({"top_degree": 2, "generators": ["u"]}, "generators"),
+    ([["u", 2, "0"]], "table"),
+])
+def test_malformed_table_document_is_a_json_error(tmp_path, capsys, table, key):
+    path = tmp_path / "case.json"
+    path.write_text(json.dumps({
+        "d": 2,
+        "table": table,
+        "R": [["0", "u"], ["-u", "0"]],
+        "word": ["sigma u"],
+    }))
+    code = main(["localize", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    doc = strict_json(captured.out)
+    assert doc["ok"] is False
+    assert doc["error"].startswith(f"ValueError: '{key}' must ")
+    assert "Traceback" not in captured.out + captured.err
+
+
 def test_mehler_cli_with_a_degree_four_curvature_term(tmp_path, capsys):
     # the kappa constant is matched on the degree-two part of each entry
     path = tmp_path / "mehler.json"

@@ -146,3 +146,27 @@ def test_memos_follow_the_table():
     assert xy.d() == (u * y).scale(2) - x * v
     assert (x * v) * y == xy * v
     assert (u * v).d().is_zero()
+
+
+
+def test_degree_memo_survives_table_changes_and_stays_bounded():
+    table = GeneratorTable(6)
+    for name, degree in (("x", 1), ("u", 2), ("y", 3)):
+        table.add_generator(name, degree)
+    s, x, u, y = range(4)
+    queried = set()
+
+    def check(monos):
+        for mono in monos:
+            assert table.mono_degree(mono) == sum(table.degree_of(g) for g in mono)
+            queried.add(mono)
+        assert len(table._degree_memo) <= len(queried)
+
+    before = [(), (x,), (u, u), (s, x, u), (x, y), (s, u, u, u), (x,)]
+    check(before)
+    table.add_generator("v", 2)
+    v = table.names.index("v")
+    table.set_differential("x", table.gen("u"))
+    table.set_differential("v", table.gen("y"))
+    assert set(before) <= table._degree_memo.keys()   # kept, not cleared
+    check(before + [(v,), (s, v), (x, u, v), (u, v, v)])
