@@ -5,7 +5,12 @@ an odd matrix Q, and a linear assignment of matrices to the sigma-free
 monomials of a form algebra.  On top of this the module provides:
 
 * the curvature cochain F (arities 0, 1, 2; higher ones vanish), with the
-  two-slot sign fixed by F = beta(omega) + omega^2;
+  two-slot sign fixed by F = beta(omega) + omega^2.  Rescaling weighs form
+  degree k by t^k, and each block is one pass over the monomials through
+  c_t(X) = sum_m t^deg(m) coeff c(m): for theta = theta' + sigma theta''
+  and alpha the degree involution, F1_t(theta) = c_t(d theta') - c_t(theta'')
+  - t (Q c_t(theta') - c_(-t)(theta') Q) and F2_t(theta1, theta2) =
+  c_t(alpha(theta1') theta2') - c_(-t)(theta1') c_t(theta2');
 * the rescaled Chern character as a perturbation series over simplices,
   summed in one block upper-triangular matrix exponential (the empty word
   included); :func:`simplex_str_quad`, nested Gauss-Legendre quadrature
@@ -15,8 +20,9 @@ monomials of a form algebra.  On top of this the module provides:
   side sums the character of the whole chain in one Duhamel integral
   int e^(-s_0 X) (-F(sigma p)) e^(-s_1 X) with X = t^2 Q^2 - F(R) + F(R, R);
   no two-slot block joins sigma p to R, since F(.,.) reads only sigma-free
-  parts and sigma p has none.  The per-word series (``bismut_words`` and
-  ``chern_t``) is the test oracle.
+  parts and sigma p has none.  Both sides reuse two pieces: (2p-1)dp is
+  the sigma-free part of R, and -F1_t(sigma p) = c_t(p).  The per-word
+  series (``bismut_words`` and ``chern_t``) is the test oracle.
 
 Words may have matrix-valued entries (forms tensored with M_n); the
 evaluation then runs on H tensor C^n with the trace pattern of the index
@@ -31,6 +37,7 @@ model evaluated at many times keeps a block set for each of them.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as _cartesian
@@ -179,10 +186,6 @@ def _all_monomials(table):
 # -- curvature -------------------------------------------------------------------
 
 
-def _graded_comm(Q, A, parity):
-    return Q @ A - ((-1) ** parity) * (A @ Q)
-
-
 def connection_cochain(model):
     table = model.table
 
@@ -302,32 +305,9 @@ def _as_form_matrix_word(table, word):
 
 
 def _cmat(model, formmat, t=1.0):
-    """c applied to a matrix of sigma-free forms, as an operator on
-    H tensor C^n (entry (i,j) block is c of the (i,j) entry)."""
-    n = formmat.shape[0]
-    dim = model.dim
-    out = np.zeros((dim * n, dim * n), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            form = formmat[i, j]
-            if form.is_zero():
-                continue
-            out[i * dim:(i + 1) * dim, j * dim:(j + 1) * dim] += model.c(form, t)
-    return out
-
-
-def _f1_mat(model, theta, parity):
-    prime, second = theta.split_sigma()
-    return _cmat(model, prime.d()) \
-        - _graded_comm(_kron_model(model, theta.shape[0])[0], _cmat(model, prime), parity) \
-        - _cmat(model, second)
-
-
-def _f2_mat(model, theta1, theta2, parity1):
-    p1 = theta1.split_sigma()[0]
-    p2 = theta2.split_sigma()[0]
-    sign = (-1) ** (parity1 + 1)
-    return sign * (_cmat(model, p1) @ _cmat(model, p2) - _cmat(model, p1 @ p2))
+    """c_t(X) = sum_m t^deg(m) coeff c(m) applied to a matrix of sigma-free
+    forms, as an operator on H tensor C^n (block (i, j) is c_t of entry (i, j))."""
+    return np.block([[model.c(form, t) for form in row] for row in formmat.rows])
 
 
 def _kron_model(model, n):
@@ -347,8 +327,7 @@ def chern_t(model, t, target):
     multilinear in the word, so a word of forms, form matrices or monomials
     is evaluated as it stands, without expanding it into monomial words.
     """
-    if t <= 0:
-        raise ValueError("the scaling parameter must be positive")
+    _check_time(t)
     if isinstance(target, BarChain):
         total = 0j
         for word, coeff in target.terms.items():
@@ -357,31 +336,50 @@ def chern_t(model, t, target):
     return _chern_matrix_word(model, t, _as_form_matrix_word(model.table, tuple(target)))
 
 
+def _check_time(t):
+    """The scaling parameter must be a positive finite real."""
+    if isinstance(t, bool) or not isinstance(t, numbers.Real) or not 0 < t < math.inf:
+        raise ValueError("the scaling parameter must be positive")
+
+
 def _scaled_f1(model, t, slot, cache):
-    """sum over homogeneous parts of t^(deg+1) F(part): the one-slot
-    curvature of the rescaled module."""
+    """The one-slot curvature of the rescaled module, sum over homogeneous
+    parts of t^(deg+1) F(part), in one pass: for slot = theta' + sigma theta''
+    and Q^ = 1 (x) Q,
+
+        F1_t = c_t(d theta') - c_t(theta'') - t (Q^ c_t(theta') - c_(-t)(theta') Q^),
+
+    where c_(-t) gives the degree-k part the sign (-1)^k of the graded
+    commutator.  So -F1_t(sigma p) = c_t(p)."""
     key = ("f1", slot, t)
     out = cache.get(key)
     if out is not None:
         return out
-    n = slot.shape[0]
-    out = np.zeros((model.dim * n, model.dim * n), dtype=complex)
-    for deg, part in slot.homogeneous_parts().items():
-        out += (t ** (deg + 1)) * _f1_mat(model, part, deg & 1)
+    prime, second = slot.split_sigma()
+    Qh = _kron_model(model, slot.shape[0])[0]
+    out = _cmat(model, prime.d(), t) - _cmat(model, second, t) \
+        - t * (Qh @ _cmat(model, prime, t) - _cmat(model, prime, -t) @ Qh)
     cache[key] = out
     return out
 
 
 def _scaled_f2(model, t, slot1, slot2, cache):
+    """The two-slot curvature of the rescaled module, sum over pairs of
+    homogeneous parts of t^(deg1+deg2) F(part1, part2), in one pass: with
+    alpha the degree involution (the degree-k part times (-1)^k),
+
+        F2_t(theta1, theta2) = c_t(alpha(theta1') theta2') - c_(-t)(theta1') c_t(theta2').
+    """
     key = ("f2", slot1, slot2, t)
     out = cache.get(key)
     if out is not None:
         return out
-    n = slot1.shape[0]
-    out = np.zeros((model.dim * n, model.dim * n), dtype=complex)
-    for d1, part1 in slot1.homogeneous_parts().items():
-        for d2, part2 in slot2.homogeneous_parts().items():
-            out += (t ** (d1 + d2)) * _f2_mat(model, part1, part2, d1 & 1)
+    prime1, prime2 = slot1.split_sigma()[0], slot2.split_sigma()[0]
+    table = model.table
+    alpha1 = prime1.map_entries(lambda e: FormElement._wrap(table, {
+        m: -c if table.mono_degree(m) & 1 else c for m, c in e.terms.items()}))
+    out = _cmat(model, alpha1 @ prime2, t) \
+        - _cmat(model, prime1, -t) @ _cmat(model, prime2, t)
     cache[key] = out
     return out
 
@@ -532,21 +530,20 @@ def mckean_singer_check(model, p, t=1.0):
     side is the dense matrix exponential Str(p exp(-D_p^2)).  It is
     exp(-D_p^2), not exp(-D_p): the two differ for a generic model, and
     only the former equals the character of the chain.
+
+    The sides share two pieces, each computed once: G = (2p-1)dp is the
+    sigma-free part of R, and the Duhamel block -F1(sigma p) is c_t(p).
     """
-    table = model.table
+    _check_time(t)
     n = p.shape[0]
     R = curvature_word_matrix(p)
-    sigma_p = p.scale_form(table.sigma())
     cache = model.__dict__.setdefault("_block_cache", {})
     Qh, Gh = _kron_model(model, n)
+    p_hat = _cmat(model, p, t)
     X = (t ** 2) * (Qh @ Qh) - _scaled_f1(model, t, R, cache) \
         + _scaled_f2(model, t, R, R, cache)
-    inner = simplex_matrix_integral(X, [-_scaled_f1(model, t, sigma_p, cache)])
-    lhs = complex(np.trace(Gh @ inner))
+    lhs = complex(np.trace(Gh @ simplex_matrix_integral(X, [p_hat])))
 
-    G = (p.scale(2) - FormMatrix.identity(table, n)) @ p.d()
-    Gp = _cmat(model, G, t)
-    Dp = t * Qh + Gp
-    p_hat = _cmat(model, p, t)
+    Dp = t * Qh + _cmat(model, R.split_sigma()[0], t)
     rhs_sq = complex(np.trace(Gh @ p_hat @ _expm(-(Dp @ Dp))))
     return McKeanSingerReport(lhs, rhs_sq, abs(lhs - rhs_sq))

@@ -1,4 +1,11 @@
-import random
+import os
+
+# Pin the BLAS pools before anything imports numpy, as perfbench/run.py does:
+# the models' matrices are 4 x 4 to 32 x 32, where threads only add overhead.
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import random  # noqa: E402
 from fractions import Fraction
 
 import pytest

@@ -90,6 +90,15 @@ def test_mckean_singer_cli(tmp_path, capsys):
         main(["mckean-singer", str(path), "--n-max", "5"])
 
 
+@pytest.mark.parametrize("t", [0, -0.5, float("nan"), float("inf"), "0.5"])
+def test_mckean_singer_cli_rejects_bad_times(tmp_path, capsys, t):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({**_model_doc(), "t": t}))
+    code, doc = run_cli(capsys, ["mckean-singer", str(path)])
+    assert code == 2
+    assert doc == {"ok": False, "error": "ValueError: the scaling parameter must be positive"}
+
+
 def test_bismut_chern_cli(tmp_path, capsys):
     path = tmp_path / "model.json"
     path.write_text(json.dumps(_model_doc()))

@@ -17,7 +17,7 @@ from chernloc.fredholm import (FredholmModel, bismut_chern, bismut_words,
                                random_model, simplex_matrix_integral,
                                simplex_str_quad)
 from chernloc.multiform import FormElement, GeneratorTable
-from chernloc.sampling import random_word
+from chernloc.sampling import random_form, random_word
 from chernloc.scalars import QC
 
 
@@ -112,6 +112,82 @@ def test_curvature_vanishes_above_two_slots():
     F = curvature_cochain(m)
     word = tuple(t.gen("x") for _ in range(3))
     assert np.allclose(F.eval_chain(BarChain.from_word(t, word)), 0)
+
+
+def f1_by_parts(model, t, slot):
+    """Oracle for the one-slot block: sum over homogeneous parts of degree k
+    of t^(k+1) (c(d theta') - [Q^, c(theta')]_k - c(theta''))."""
+    Qh = fredholm._kron_model(model, slot.shape[0])[0]
+    out = np.zeros_like(Qh)
+    for deg, part in slot.homogeneous_parts().items():
+        prime, second = part.split_sigma()
+        c_prime = fredholm._cmat(model, prime)
+        comm = Qh @ c_prime - (-1) ** deg * (c_prime @ Qh)
+        out += t ** (deg + 1) * (fredholm._cmat(model, prime.d()) - comm
+                                 - fredholm._cmat(model, second))
+    return out
+
+
+def f2_by_parts(model, t, slot1, slot2):
+    """Oracle for the two-slot block: sum over pairs of homogeneous parts of
+    t^(k1+k2) (-1)^(k1+1) (c(theta1') c(theta2') - c(theta1' theta2'))."""
+    out = np.zeros_like(fredholm._kron_model(model, slot1.shape[0])[0])
+    for d1, part1 in slot1.homogeneous_parts().items():
+        for d2, part2 in slot2.homogeneous_parts().items():
+            p1, p2 = part1.split_sigma()[0], part2.split_sigma()[0]
+            out += t ** (d1 + d2) * (-1) ** (d1 + 1) * (
+                fredholm._cmat(model, p1) @ fredholm._cmat(model, p2)
+                - fredholm._cmat(model, p1 @ p2))
+    return out
+
+
+def _random_slot(table, rng, n):
+    """An n x n matrix of mixed-degree forms with sigma parts and no
+    constant term."""
+    forms = [random_form(table, rng, n_terms=4) for _ in range(n * n)]
+    forms = [f - table.scalar(f.constant_term()) for f in forms]
+    return FormMatrix(table, [forms[i * n:(i + 1) * n] for i in range(n)])
+
+
+def _assert_close(got, want, floor=0.0):
+    """Agreement to 1e-13 relative to ``want``, or to ``floor`` if larger;
+    returns whether ``want`` is nonzero."""
+    assert np.linalg.norm(got - want) <= 1e-13 * max(np.linalg.norm(want), floor)
+    return bool(np.any(want))
+
+
+@pytest.mark.parametrize("t", [0.2, 0.7, 1.0])
+def test_scaled_blocks_match_the_per_part_oracle(t):
+    rng = random.Random(71)
+    table = rich_table()
+    nonzero = 0
+    for dim_plus, dim_minus, n in ((2, 2, 1), (2, 2, 2), (3, 2, 2), (2, 3, 3)):
+        m = random_model(table, rng, dim_plus, dim_minus, scale=0.4, q_scale=0.8)
+        p = random_idempotent(table, rng, n=n, scale=Fraction(1, 3))
+        R = curvature_word_matrix(p)
+        sigma_p = p.scale_form(table.sigma())
+        mixed = [_random_slot(table, rng, n) for _ in range(3)]
+        for slot in [R, sigma_p] + mixed:
+            nonzero += _assert_close(fredholm._scaled_f1(m, t, slot, {}),
+                                     f1_by_parts(m, t, slot))
+        for slot1, slot2 in [(R, R), (R, mixed[0]), (mixed[1], R), (mixed[1], mixed[2])]:
+            nonzero += _assert_close(fredholm._scaled_f2(m, t, slot1, slot2, {}),
+                                     f2_by_parts(m, t, slot1, slot2))
+        # a constant part cancels in the commutator and in c(1 theta) - c(1) c(theta),
+        # in one pass only up to rounding, so these compare at the scale of c(1) = 1
+        one = mixed[0] + FormMatrix.identity(table, n)
+        _assert_close(fredholm._scaled_f1(m, t, one, {}), f1_by_parts(m, t, one), 1.0)
+        for slot1, slot2 in [(one, mixed[1]), (mixed[2], one), (one, one)]:
+            _assert_close(fredholm._scaled_f2(m, t, slot1, slot2, {}),
+                          f2_by_parts(m, t, slot1, slot2), 1.0)
+        # the two pieces mckean_singer_check reuses
+        G = (p.scale(2) - FormMatrix.identity(table, n)) @ p.d()
+        assert R.split_sigma()[0] == G
+        assert np.array_equal(-fredholm._scaled_f1(m, t, sigma_p, {}),
+                              fredholm._cmat(m, p, t))
+    # not vacuous: a 1 x 1 idempotent is constant, so its R vanishes, but
+    # most of the 36 blocks compared are nonzero (30 with this seed)
+    assert nonzero >= 25
 
 
 # -- simplex integrals ----------------------------------------------------------------------
@@ -297,6 +373,20 @@ def test_chern_rejects_nonpositive_t():
     m = random_model(t, rng)
     with pytest.raises(ValueError):
         chern_t(m, 0.0, ())
+
+
+@pytest.mark.parametrize("bad", [0, -0.5, float("nan"), float("inf"), True, "0.5"])
+def test_bad_times_are_rejected(bad):
+    # t = 0 made the comparison vacuous (0 = 0), a negative t passed, and a
+    # non-finite t gave NaN sides
+    rng = random.Random(6)
+    t = rich_table()
+    m = random_model(t, rng)
+    p = random_idempotent(t, rng, n=2)
+    with pytest.raises(ValueError, match="^the scaling parameter must be positive$"):
+        chern_t(m, bad, ())
+    with pytest.raises(ValueError, match="^the scaling parameter must be positive$"):
+        mckean_singer_check(m, p, t=bad)
 
 
 def test_chern_on_empty_word_is_heat_supertrace():
@@ -499,8 +589,8 @@ def test_mckean_singer_pins_the_two_slot_sign(monkeypatch):
     t = rich_table()
     m = random_model(t, rng, 2, 2, scale=0.35, q_scale=0.8)
     p = random_idempotent(t, rng, n=2, scale=Fraction(1, 4))
-    f2_mat = fredholm._f2_mat
-    monkeypatch.setattr(fredholm, "_f2_mat", lambda *a: -f2_mat(*a))
+    scaled_f2 = fredholm._scaled_f2
+    monkeypatch.setattr(fredholm, "_scaled_f2", lambda *a: -scaled_f2(*a))
     rep = mckean_singer_check(m, p, t=1.0)
     assert rep.difference > 1e-4
 
