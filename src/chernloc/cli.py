@@ -117,8 +117,11 @@ def cmd_check_bar(args):
 
 def _load_model(doc):
     table = _load_table(doc["table"])
+    c_doc = doc.get("c", {})
+    if not isinstance(c_doc, dict):
+        raise ValueError(f"'c' must be a JSON object, got {c_doc!r}")
     c_map = {}
-    for key, rows in doc.get("c", {}).items():
+    for key, rows in c_doc.items():
         form = table.parse(key)
         if len(form.terms) != 1:
             raise ValueError(f"c keys must be single monomials: {key!r}")

@@ -2,7 +2,10 @@
 
 Used for curvature matrices (even entries, which commute) and for
 matrix-valued forms such as idempotents over a form algebra.  Entries are
-kept as a tuple of row tuples; all operations return new matrices.
+kept as a tuple of row tuples; all operations return new matrices.  The
+one mutable slot, ``_memo``, holds exact results derived from the matrix
+(``fredholm`` keeps an idempotent's curvature there); it lives and dies
+with the matrix and takes no part in equality or hashing.
 """
 
 from __future__ import annotations
@@ -15,10 +18,11 @@ from .scalars import _add_term, coerce
 
 
 class FormMatrix:
-    __slots__ = ("table", "rows", "shape")
+    __slots__ = ("table", "rows", "shape", "_memo")
 
     def __init__(self, table, rows):
         self.table = table
+        self._memo = None
         self.rows = tuple(tuple(r) for r in rows)
         n = len(self.rows)
         m = len(self.rows[0]) if n else 0

@@ -28,16 +28,31 @@ Words may have matrix-valued entries (forms tensored with M_n); the
 evaluation then runs on H tensor C^n with the trace pattern of the index
 contraction built in, and is validated against the expanded scalar chain.
 
-Models are immutable after construction apart from one memo of curvature
-blocks, ``_block_cache``, which ``chern_t`` and :func:`mckean_singer_check`
-fill on the model.  It is keyed by the float ``t`` and has no bound, so a
-model evaluated at many times keeps a block set for each of them.
+Only c_t depends on t.  Each block is built in two stages: an exact
+stage, the same at every t (theta', theta'' and d theta' of a slot,
+alpha(theta1') theta2' of a pair), and the numeric stage c_t.  Two kinds of
+state hold results between calls:
+
+* an idempotent p holds its exact results on itself: R, from the first
+  :func:`curvature_word_matrix` call, and the exact stage of R's blocks
+  (R', R'', dR', alpha(R') R'), from the first :func:`mckean_singer_check`.
+  So a time sweep does p's exact algebra once, and each later time costs
+  the c_t matrices and two ``expm``.  The memo dies with p, and it is
+  stamped with the table's ``generation``: ``add_generator`` and
+  ``set_differential`` invalidate it.  :func:`bismut_chern` builds R only;
+* a model holds a memo of curvature blocks, ``_block_cache``, which
+  ``chern_t`` and :func:`mckean_singer_check` fill.  It is keyed by the
+  exact stage and the float ``t`` and has no bound, so a model evaluated at
+  many times keeps a block set for each of them.
+
+Models are immutable after construction apart from that memo.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as _cartesian
@@ -46,7 +61,7 @@ import numpy as np
 
 from .barcomplex import BarChain, Cochain, has_block_parity
 from .formmatrix import FormMatrix, mat_exp_nilpotent
-from .multiform import SIGMA_ID, FormElement
+from .multiform import SIGMA_ID, FormElement, _integer
 from .scalars import QC, QC_ONE
 
 
@@ -65,10 +80,12 @@ class FredholmModel:
 
     def __init__(self, table, dim_plus, dim_minus, Q, c_map):
         self.table = table
-        self.dim_plus = int(dim_plus)
-        self.dim_minus = int(dim_minus)
+        self.dim_plus = _dimension(dim_plus, "dim_plus")
+        self.dim_minus = _dimension(dim_minus, "dim_minus")
         self.dim = self.dim_plus + self.dim_minus
         self.Q = np.asarray(Q, dtype=complex)
+        if not isinstance(c_map, Mapping):
+            raise ValueError(f"'c' must map monomials to matrices, got {c_map!r}")
         cm = {}
         for mono, mat in c_map.items():
             cm[tuple(mono)] = np.asarray(mat, dtype=complex)
@@ -93,7 +110,7 @@ class FredholmModel:
             problems.append("Q is not odd for the grading")
         for mono, mat in self.c_map.items():
             if mat.shape != (self.dim, self.dim):
-                problems.append(f"c({mono}) has the wrong shape")
+                problems.append(f"c({self.table.mono_str(mono)}) has the wrong shape")
                 continue
             if SIGMA_ID in mono:
                 problems.append("c is only defined on sigma-free monomials")
@@ -135,6 +152,15 @@ class FredholmModel:
             deg = self.table.mono_degree(mono)
             out += (t ** deg) * complex(coeff) * self.c_mono(mono)
         return out
+
+
+def _dimension(value, key):
+    """A graded dimension: a non-negative int; a float or bool is refused,
+    not truncated."""
+    value = _integer(value, repr(key))
+    if value < 0:
+        raise ValueError(f"{key!r} must be non-negative, got {value}")
+    return value
 
 
 def random_model(table, rng, dim_plus=2, dim_minus=2, scale=0.6, q_scale=1.0):
@@ -213,11 +239,12 @@ def curvature_cochain(model):
 
     def arity1(word):
         slot, = _as_form_matrix_word(table, word)
-        return _scaled_f1(model, 1.0, slot, {})
+        return _scaled_f1(model, 1.0, _slot_forms(slot), {})
 
     def arity2(word):
         slot1, slot2 = _as_form_matrix_word(table, word)
-        return _scaled_f2(model, 1.0, slot1, slot2, {})
+        return _scaled_f2(model, 1.0, _pair_forms(slot1.split_sigma()[0],
+                                                  slot2.split_sigma()[0]), {})
 
     return Cochain(table, 0, {0: arity0, 1: arity1, 2: arity2},
                    dim=model.dim, dim_plus=model.dim_plus)
@@ -307,7 +334,13 @@ def _as_form_matrix_word(table, word):
 def _cmat(model, formmat, t=1.0):
     """c_t(X) = sum_m t^deg(m) coeff c(m) applied to a matrix of sigma-free
     forms, as an operator on H tensor C^n (block (i, j) is c_t of entry (i, j))."""
-    return np.block([[model.c(form, t) for form in row] for row in formmat.rows])
+    d = model.dim
+    n, m = formmat.shape
+    out = np.empty((n * d, m * d), dtype=complex)
+    for i, row in enumerate(formmat.rows):
+        for j, form in enumerate(row):
+            out[i * d:(i + 1) * d, j * d:(j + 1) * d] = model.c(form, t)
+    return out
 
 
 def _kron_model(model, n):
@@ -342,43 +375,58 @@ def _check_time(t):
         raise ValueError("the scaling parameter must be positive")
 
 
-def _scaled_f1(model, t, slot, cache):
+def _slot_forms(slot):
+    """The exact stage of a one-slot block, which does not depend on t:
+    (theta', theta'', d theta') for slot = theta' + sigma theta''."""
+    prime, second = slot.split_sigma()
+    return prime, second, prime.d()
+
+
+def _pair_forms(prime1, prime2):
+    """The exact stage of a two-slot block, which does not depend on t:
+    (theta1', theta2', alpha(theta1') theta2') for the sigma-free parts of
+    the slots, with alpha the degree involution (the degree-k part times
+    (-1)^k)."""
+    table = prime1.table
+    alpha1 = prime1.map_entries(lambda e: FormElement._wrap(table, {
+        m: -c if table.mono_degree(m) & 1 else c for m, c in e.terms.items()}))
+    return prime1, prime2, alpha1 @ prime2
+
+
+def _scaled_f1(model, t, forms, cache):
     """The one-slot curvature of the rescaled module, sum over homogeneous
-    parts of t^(deg+1) F(part), in one pass: for slot = theta' + sigma theta''
-    and Q^ = 1 (x) Q,
+    parts of t^(deg+1) F(part), in one pass over the stage
+    ``forms = _slot_forms(theta)``: with Q^ = 1 (x) Q,
 
         F1_t = c_t(d theta') - c_t(theta'') - t (Q^ c_t(theta') - c_(-t)(theta') Q^),
 
     where c_(-t) gives the degree-k part the sign (-1)^k of the graded
     commutator.  So -F1_t(sigma p) = c_t(p)."""
-    key = ("f1", slot, t)
+    key = ("f1", forms, t)
     out = cache.get(key)
     if out is not None:
         return out
-    prime, second = slot.split_sigma()
-    Qh = _kron_model(model, slot.shape[0])[0]
-    out = _cmat(model, prime.d(), t) - _cmat(model, second, t) \
+    prime, second, d_prime = forms
+    Qh = _kron_model(model, prime.shape[0])[0]
+    out = _cmat(model, d_prime, t) - _cmat(model, second, t) \
         - t * (Qh @ _cmat(model, prime, t) - _cmat(model, prime, -t) @ Qh)
     cache[key] = out
     return out
 
 
-def _scaled_f2(model, t, slot1, slot2, cache):
+def _scaled_f2(model, t, pair, cache):
     """The two-slot curvature of the rescaled module, sum over pairs of
-    homogeneous parts of t^(deg1+deg2) F(part1, part2), in one pass: with
-    alpha the degree involution (the degree-k part times (-1)^k),
+    homogeneous parts of t^(deg1+deg2) F(part1, part2), in one pass over the
+    stage ``pair = _pair_forms(theta1', theta2')``:
 
         F2_t(theta1, theta2) = c_t(alpha(theta1') theta2') - c_(-t)(theta1') c_t(theta2').
     """
-    key = ("f2", slot1, slot2, t)
+    key = ("f2", pair, t)
     out = cache.get(key)
     if out is not None:
         return out
-    prime1, prime2 = slot1.split_sigma()[0], slot2.split_sigma()[0]
-    table = model.table
-    alpha1 = prime1.map_entries(lambda e: FormElement._wrap(table, {
-        m: -c if table.mono_degree(m) & 1 else c for m, c in e.terms.items()}))
-    out = _cmat(model, alpha1 @ prime2, t) \
+    prime1, prime2, alpha_product = pair
+    out = _cmat(model, alpha_product, t) \
         - _cmat(model, prime1, -t) @ _cmat(model, prime2, t)
     cache[key] = out
     return out
@@ -400,26 +448,47 @@ def _chern_matrix_word(model, t, mats):
         if m.shape[0] != n:
             raise ValueError("mixed auxiliary dimensions in a word")
     cache = model.__dict__.setdefault("_block_cache", {})
-    N = len(mats)
+    forms = [_slot_forms(m) for m in mats]
     Qh, Gh = _kron_model(model, n)
     A = (t ** 2) * (Qh @ Qh)
     corner = simplex_matrix_integral(
-        A, [-_scaled_f1(model, t, mats[i], cache) for i in range(N)],
-        [-_scaled_f2(model, t, mats[i], mats[i + 1], cache) for i in range(N - 1)])
+        A, [-_scaled_f1(model, t, f, cache) for f in forms],
+        [-_scaled_f2(model, t, _pair_forms(f1[0], f2[0]), cache)
+         for f1, f2 in zip(forms, forms[1:])])
     return complex(np.trace(Gh @ corner))
 
 
 # -- idempotents and the heat-supertrace comparison ----------------------------------------
 
 
+def _exact_memo(p):
+    """The memo of exact results held on p, emptied first if p's table has
+    changed since it was filled."""
+    generation = p.table.generation
+    memo = p._memo
+    if memo is None or memo["generation"] != generation:
+        memo = p._memo = {"generation": generation}
+    return memo
+
+
 def curvature_word_matrix(p):
-    """R = (2p - 1) dp + sigma (dp)^2 for an exact idempotent matrix p."""
-    table = p.table
-    if not (p @ p - p).is_zero():
-        raise ValueError("p is not an exact idempotent")
-    dp = p.d()
-    two_p_1 = p.scale(2) - FormMatrix.identity(table, p.shape[0])
-    return (two_p_1 @ dp) + (dp @ dp).scale_form(table.sigma())
+    """R = (2p - 1) dp + sigma (dp)^2 for an exact idempotent matrix p.
+
+    R is computed, and p checked for p^2 = p, once per p object: the result
+    is held on p until p's table changes (``add_generator`` or
+    ``set_differential``).  A p that fails the check is checked again on
+    every call.
+    """
+    memo = _exact_memo(p)
+    R = memo.get("R")
+    if R is None:
+        table = p.table
+        if not (p @ p - p).is_zero():
+            raise ValueError("p is not an exact idempotent")
+        dp = p.d()
+        two_p_1 = p.scale(2) - FormMatrix.identity(table, p.shape[0])
+        R = memo["R"] = (two_p_1 @ dp) + (dp @ dp).scale_form(table.sigma())
+    return R
 
 
 def _trace_words(mats, coeff):
@@ -533,17 +602,28 @@ def mckean_singer_check(model, p, t=1.0):
 
     The sides share two pieces, each computed once: G = (2p-1)dp is the
     sigma-free part of R, and the Duhamel block -F1(sigma p) is c_t(p).
+
+    Only c_t depends on t.  The exact stage of the blocks of R (R', R'',
+    dR' and alpha(R')R') is built on the first call for p and held on p
+    with R (see :func:`curvature_word_matrix`), so each later time, for any
+    model, costs the c_t matrices and two ``expm``.
     """
     _check_time(t)
     n = p.shape[0]
     R = curvature_word_matrix(p)
+    memo = _exact_memo(p)
+    stage = memo.get("mckean_singer")
+    if stage is None:
+        r_forms = _slot_forms(R)
+        stage = memo["mckean_singer"] = (r_forms, _pair_forms(r_forms[0], r_forms[0]))
+    r_forms, r_pair = stage
     cache = model.__dict__.setdefault("_block_cache", {})
     Qh, Gh = _kron_model(model, n)
     p_hat = _cmat(model, p, t)
-    X = (t ** 2) * (Qh @ Qh) - _scaled_f1(model, t, R, cache) \
-        + _scaled_f2(model, t, R, R, cache)
+    X = (t ** 2) * (Qh @ Qh) - _scaled_f1(model, t, r_forms, cache) \
+        + _scaled_f2(model, t, r_pair, cache)
     lhs = complex(np.trace(Gh @ simplex_matrix_integral(X, [p_hat])))
 
-    Dp = t * Qh + _cmat(model, R.split_sigma()[0], t)
+    Dp = t * Qh + _cmat(model, r_forms[0], t)
     rhs_sq = complex(np.trace(Gh @ p_hat @ _expm(-(Dp @ Dp))))
     return McKeanSingerReport(lhs, rhs_sq, abs(lhs - rhs_sq))

@@ -60,7 +60,9 @@ class GeneratorTable:
     :meth:`set_differential`.  The degree memo never is: a generator's id
     and degree are fixed when it is added, so a monomial's degree never
     changes.  Each memo is bounded by the table's finite set of monomials
-    and of pairs of monomials.
+    and of pairs of monomials.  Each clear also bumps ``generation``, which
+    stamps the exact results ``fredholm`` holds on an idempotent matrix, so
+    a change to the table invalidates those too.
     """
 
     def __init__(self, top_degree, generators=()):
@@ -76,6 +78,7 @@ class GeneratorTable:
         self._product_memo = {}
         self._d_memo = {}
         self._d_T_memo = {}
+        self.generation = 0
         for name, deg in generators:
             self.add_generator(name, deg)
 
@@ -83,6 +86,7 @@ class GeneratorTable:
         self._product_memo.clear()
         self._d_memo.clear()
         self._d_T_memo.clear()
+        self.generation += 1
 
     # -- construction -------------------------------------------------
     def add_generator(self, name, degree):

@@ -336,6 +336,24 @@ def test_model_without_p_is_a_json_error(tmp_path, capsys):
                    "error": "ValueError: model document needs an idempotent 'p'"}
 
 
+@pytest.mark.parametrize("key, value, message", [
+    ("c", [], "'c' must be a JSON object, got []"),
+    ("c", "x", "'c' must be a JSON object, got 'x'"),
+    ("dim_plus", 2.5, "'dim_plus' must be an integer, got 2.5"),
+    ("dim_plus", "2", "'dim_plus' must be an integer, got '2'"),
+    ("dim_minus", True, "'dim_minus' must be an integer, got True"),
+    ("dim_minus", -2, "'dim_minus' must be non-negative, got -2"),
+])
+def test_malformed_model_document_is_a_json_error(tmp_path, capsys, key, value, message):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({**_model_doc(), key: value}))
+    code = main(["mckean-singer", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert strict_json(captured.out) == {"ok": False, "error": f"ValueError: {message}"}
+    assert "Traceback" not in captured.out + captured.err
+
+
 def test_zero_denominator_in_a_word_is_a_json_error(tmp_path, capsys):
     path = tmp_path / "case.json"
     path.write_text(json.dumps({

@@ -49,6 +49,32 @@ def test_model_rejects_even_q():
     Q = np.eye(4, dtype=complex)
     with pytest.raises(ValueError):
         FredholmModel(t, 2, 2, Q, {})
+    # a c matrix of the wrong shape is named by its monomial, not its ids
+    odd_q = np.kron([[0, 1], [1, 0]], np.eye(2)).astype(complex)
+    (xy,) = (t.gen("x") * t.gen("y")).terms
+    with pytest.raises(ValueError, match=r"^bad model: c\(x y\) has the wrong shape$"):
+        FredholmModel(t, 2, 2, odd_q, {xy: np.eye(3)})
+
+
+@pytest.mark.parametrize("dims, message", [
+    ((2.5, 2), "'dim_plus' must be an integer, got 2.5"),
+    (("2", 2), "'dim_plus' must be an integer, got '2'"),
+    ((True, 1), "'dim_plus' must be an integer, got True"),
+    ((2, 2.0), "'dim_minus' must be an integer, got 2.0"),
+    ((2, -1), "'dim_minus' must be non-negative, got -1"),
+])
+def test_model_rejects_a_dimension_that_is_not_a_count(dims, message):
+    t = base_table()
+    with pytest.raises(ValueError) as err:
+        FredholmModel(t, *dims, np.zeros((4, 4), dtype=complex), {})
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("c_map", [[], [((1,), np.eye(4))], None])
+def test_model_rejects_a_c_that_is_not_a_mapping(c_map):
+    t = base_table()
+    with pytest.raises(ValueError, match="^'c' must map monomials to matrices"):
+        FredholmModel(t, 2, 2, np.zeros((4, 4), dtype=complex), c_map)
 
 
 def test_model_takes_a_small_odd_q_as_odd():
@@ -141,6 +167,17 @@ def f2_by_parts(model, t, slot1, slot2):
     return out
 
 
+def f1_block(model, t, slot, cache):
+    """The one-slot block of ``slot`` through its exact stage."""
+    return fredholm._scaled_f1(model, t, fredholm._slot_forms(slot), cache)
+
+
+def f2_block(model, t, slot1, slot2, cache):
+    """The two-slot block of ``(slot1, slot2)`` through its exact stage."""
+    return fredholm._scaled_f2(model, t, fredholm._pair_forms(
+        slot1.split_sigma()[0], slot2.split_sigma()[0]), cache)
+
+
 def _random_slot(table, rng, n):
     """An n x n matrix of mixed-degree forms with sigma parts and no
     constant term."""
@@ -168,22 +205,22 @@ def test_scaled_blocks_match_the_per_part_oracle(t):
         sigma_p = p.scale_form(table.sigma())
         mixed = [_random_slot(table, rng, n) for _ in range(3)]
         for slot in [R, sigma_p] + mixed:
-            nonzero += _assert_close(fredholm._scaled_f1(m, t, slot, {}),
+            nonzero += _assert_close(f1_block(m, t, slot, {}),
                                      f1_by_parts(m, t, slot))
         for slot1, slot2 in [(R, R), (R, mixed[0]), (mixed[1], R), (mixed[1], mixed[2])]:
-            nonzero += _assert_close(fredholm._scaled_f2(m, t, slot1, slot2, {}),
+            nonzero += _assert_close(f2_block(m, t, slot1, slot2, {}),
                                      f2_by_parts(m, t, slot1, slot2))
         # a constant part cancels in the commutator and in c(1 theta) - c(1) c(theta),
         # in one pass only up to rounding, so these compare at the scale of c(1) = 1
         one = mixed[0] + FormMatrix.identity(table, n)
-        _assert_close(fredholm._scaled_f1(m, t, one, {}), f1_by_parts(m, t, one), 1.0)
+        _assert_close(f1_block(m, t, one, {}), f1_by_parts(m, t, one), 1.0)
         for slot1, slot2 in [(one, mixed[1]), (mixed[2], one), (one, one)]:
-            _assert_close(fredholm._scaled_f2(m, t, slot1, slot2, {}),
+            _assert_close(f2_block(m, t, slot1, slot2, {}),
                           f2_by_parts(m, t, slot1, slot2), 1.0)
         # the two pieces mckean_singer_check reuses
         G = (p.scale(2) - FormMatrix.identity(table, n)) @ p.d()
         assert R.split_sigma()[0] == G
-        assert np.array_equal(-fredholm._scaled_f1(m, t, sigma_p, {}),
+        assert np.array_equal(-f1_block(m, t, sigma_p, {}),
                               fredholm._cmat(m, p, t))
     # not vacuous: a 1 x 1 idempotent is constant, so its R vanishes, but
     # most of the 36 blocks compared are nonzero (30 with this seed)
@@ -251,8 +288,8 @@ def chern_by_splittings(model, t, target):
     for comp in _splittings(len(mats)):
         blocks, pos = [], 0
         for part in comp:
-            blocks.append(fredholm._scaled_f1(model, t, mats[pos], cache) if part == 1
-                          else fredholm._scaled_f2(model, t, mats[pos], mats[pos + 1], cache))
+            blocks.append(f1_block(model, t, mats[pos], cache) if part == 1
+                          else f2_block(model, t, mats[pos], mats[pos + 1], cache))
             pos += part
         if all(np.any(B) for B in blocks):
             total += (-1) ** len(blocks) * simplex_str_quad(A, blocks, Gh)
@@ -602,3 +639,68 @@ def test_mckean_singer_scaled_module():
     p = random_idempotent(t, rng, n=2, scale=Fraction(1, 4))
     rep = mckean_singer_check(m, p, t=0.8)
     assert rep.difference < 1e-8
+
+
+def _model_and_idempotent(table, seed):
+    rng = random.Random(seed)
+    m = random_model(table, rng, 2, 2, scale=0.35, q_scale=0.8)
+    return m, random_idempotent(table, rng, n=2, scale=Fraction(1, 4))
+
+
+def _same_report(a, b):
+    return (a.lhs, a.rhs_heat_sq, a.difference) == (b.lhs, b.rhs_heat_sq, b.difference)
+
+
+def test_a_time_sweep_reuses_the_exact_stage_held_on_p():
+    table = rich_table()
+    m, p = _model_and_idempotent(table, 51)
+    mckean_singer_check(m, p, t=1.0)
+    stage = p._memo["mckean_singer"]
+    warm = mckean_singer_check(m, p, t=0.6)
+    assert p._memo["mckean_singer"] is stage
+    # a fresh, equal p on a fresh, equal model: bit-equal values
+    m2, _ = _model_and_idempotent(table, 51)
+    fresh = FormMatrix(table, p.rows)
+    assert fresh._memo is None
+    assert _same_report(warm, mckean_singer_check(m2, fresh, t=0.6))
+
+
+def test_a_table_change_invalidates_what_p_holds():
+    table = rich_table()
+    m, p = _model_and_idempotent(table, 51)
+    R = curvature_word_matrix(p)
+    mckean_singer_check(m, p, t=0.7)
+    table.add_generator("s", 2)
+    assert curvature_word_matrix(p) == R
+    assert curvature_word_matrix(p) is not R
+    # a new differential changes dp, so R and both sides of the check change
+    table.set_differential("w", "z")
+    fresh = FormMatrix(table, p.rows)
+    assert curvature_word_matrix(fresh) != R
+    assert curvature_word_matrix(p) == curvature_word_matrix(fresh)
+    assert _same_report(mckean_singer_check(m, p, t=0.7),
+                        mckean_singer_check(m, fresh, t=0.7))
+
+
+def test_a_warm_model_follows_a_new_differential():
+    # the model's block memo is keyed by the exact stage, d theta' included,
+    # so a block built before set_differential is not served after it
+    table = rich_table()
+    m = random_model(table, random.Random(3), 2, 2)
+    word = (table.parse("w + v"), table.parse("w v"))
+    before = chern_t(m, 0.7, word)
+    table.set_differential("w", "z")
+    fresh_table = rich_table()
+    fresh_table.set_differential("w", "z")
+    fresh = random_model(fresh_table, random.Random(3), 2, 2)
+    want = chern_t(fresh, 0.7, (fresh_table.parse("w + v"), fresh_table.parse("w v")))
+    assert want != before
+    assert chern_t(m, 0.7, word) == want
+
+
+def test_bismut_chern_leaves_only_r_on_p():
+    table = rich_table()
+    _, p = _model_and_idempotent(table, 51)
+    bismut_chern(p, 2)
+    assert set(p._memo) == {"generation", "R"}
+    assert curvature_word_matrix(p) is p._memo["R"]
