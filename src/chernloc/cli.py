@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import random
+import re
 import sys
 from fractions import Fraction
 
@@ -251,13 +252,32 @@ def cmd_localize(args):
 # -- torus -------------------------------------------------------------------------------
 
 
+_FOURIER_MODE = re.compile(r"\s*([+-]?[0-9]+)\s*,\s*([+-]?[0-9]+)\s*")
+
+
+def _load_theta(doc):
+    """The Fourier data of a ``--theta`` document: a JSON object from
+    ``"q1,q2"`` keys, two comma-separated integers, to coefficients."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"a theta document must be a JSON object, got {doc!r}")
+    theta = {}
+    for key, val in doc.items():
+        match = _FOURIER_MODE.fullmatch(key)
+        if match is None:
+            raise ValueError(f"theta keys must be two comma-separated integers "
+                             f"\"q1,q2\", got {key!r}")
+        mode = (int(match[1]), int(match[2]))
+        if mode in theta:
+            raise ValueError(f"theta key {key!r} repeats the mode {mode}")
+        theta[mode] = _parse_complex(val)
+    return theta
+
+
 def cmd_torus(args):
     model = torus.TorusModel(L1=args.L1, L2=args.L2, K=args.K, spin=args.spin)
     if args.theta:
         with open(args.theta) as fh:
-            doc = json.load(fh)
-        theta = {tuple(int(q) for q in key.split(",")): _parse_complex(val)
-                 for key, val in doc.items()}
+            theta = _load_theta(json.load(fh))
     else:
         theta = {(0, 0): args.beta}
     grid = [float(x) for x in args.t_grid.split(",")]

@@ -31,19 +31,20 @@ contraction built in, and is validated against the expanded scalar chain.
 Only c_t depends on t.  Each block is built in two stages: an exact
 stage, the same at every t (theta', theta'' and d theta' of a slot,
 alpha(theta1') theta2' of a pair), and the numeric stage c_t.  Two kinds of
-state hold results between calls:
+state hold results between calls, one per stage:
 
-* an idempotent p holds its exact results on itself: R, from the first
+* an idempotent p holds its exact stage on itself: R, from the first
   :func:`curvature_word_matrix` call, and the exact stage of R's blocks
   (R', R'', dR', alpha(R') R'), from the first :func:`mckean_singer_check`.
-  So a time sweep does p's exact algebra once, and each later time costs
-  the c_t matrices and two ``expm``.  The memo dies with p, and it is
-  stamped with the table's ``generation``: ``add_generator`` and
+  So a time sweep does p's exact algebra once.  The memo dies with p, and
+  it is stamped with the table's ``generation``: ``add_generator`` and
   ``set_differential`` invalidate it.  :func:`bismut_chern` builds R only;
-* a model holds a memo of curvature blocks, ``_block_cache``, which
-  ``chern_t`` and :func:`mckean_singer_check` fill.  It is keyed by the
-  exact stage and the float ``t`` and has no bound, so a model evaluated at
-  many times keeps a block set for each of them.
+* a model memoizes its c_t matrices, ``_block_cache``: c_t(X) is held
+  under the content of X and the float t, so a check at a time already
+  seen forms no c_t matrix again, and equal form matrices share one entry.
+  A content key cannot go stale (monomial degrees and ``c_map`` never
+  change).  The memo has no bound in t: a model evaluated at many times
+  keeps the matrices of each of them.
 
 Models are immutable after construction apart from that memo.
 """
@@ -62,7 +63,7 @@ import numpy as np
 from .barcomplex import BarChain, Cochain, has_block_parity
 from .formmatrix import FormMatrix, mat_exp_nilpotent
 from .multiform import SIGMA_ID, FormElement, _integer
-from .scalars import QC, QC_ONE
+from .scalars import QC, QC_ONE, TableMismatchError
 
 
 def _expm(a):
@@ -91,6 +92,7 @@ class FredholmModel:
             cm[tuple(mono)] = np.asarray(mat, dtype=complex)
         cm.setdefault((), np.eye(self.dim, dtype=complex))
         self.c_map = cm
+        self._block_cache = {}
         problems = self.structure_report()
         if problems:
             raise ValueError("bad model: " + "; ".join(problems))
@@ -138,19 +140,18 @@ class FredholmModel:
         return report
 
     # -- the assignment c ------------------------------------------------------
-    def c_mono(self, mono):
-        if SIGMA_ID in mono:
-            raise ValueError("c is not defined on sigma-containing monomials")
-        mat = self.c_map.get(tuple(mono))
-        if mat is None:
-            return np.zeros((self.dim, self.dim), dtype=complex)
-        return mat
-
     def c(self, form, t=1.0):
+        """c_t(form) = sum_m t^deg(m) coeff c(m); a monomial without a
+        matrix contributes nothing."""
+        if form.table is not self.table:
+            raise TableMismatchError("a form over another generator table than the model's")
         out = np.zeros((self.dim, self.dim), dtype=complex)
         for mono, coeff in form.terms.items():
-            deg = self.table.mono_degree(mono)
-            out += (t ** deg) * complex(coeff) * self.c_mono(mono)
+            if SIGMA_ID in mono:
+                raise ValueError("c is not defined on sigma-containing monomials")
+            mat = self.c_map.get(mono)
+            if mat is not None:
+                out += (t ** self.table.mono_degree(mono)) * complex(coeff) * mat
         return out
 
 
@@ -239,12 +240,13 @@ def curvature_cochain(model):
 
     def arity1(word):
         slot, = _as_form_matrix_word(table, word)
-        return _scaled_f1(model, 1.0, _slot_forms(slot), {})
+        return _scaled_f1(model, 1.0, _slot_forms(slot),
+                          np.kron(np.eye(slot.shape[0], dtype=complex), model.Q))
 
     def arity2(word):
         slot1, slot2 = _as_form_matrix_word(table, word)
         return _scaled_f2(model, 1.0, _pair_forms(slot1.split_sigma()[0],
-                                                  slot2.split_sigma()[0]), {})
+                                                  slot2.split_sigma()[0]))
 
     return Cochain(table, 0, {0: arity0, 1: arity1, 2: arity2},
                    dim=model.dim, dim_plus=model.dim_plus)
@@ -333,20 +335,29 @@ def _as_form_matrix_word(table, word):
 
 def _cmat(model, formmat, t=1.0):
     """c_t(X) = sum_m t^deg(m) coeff c(m) applied to a matrix of sigma-free
-    forms, as an operator on H tensor C^n (block (i, j) is c_t of entry (i, j))."""
-    d = model.dim
-    n, m = formmat.shape
-    out = np.empty((n * d, m * d), dtype=complex)
-    for i, row in enumerate(formmat.rows):
-        for j, form in enumerate(row):
-            out[i * d:(i + 1) * d, j * d:(j + 1) * d] = model.c(form, t)
+    forms, as an operator on H tensor C^n (block (i, j) is c_t of entry (i, j)).
+    The one stage that depends on t holds the model's one memo: the result
+    is kept, read-only, in ``model._block_cache`` under (X, t)."""
+    cache = model._block_cache
+    key = (formmat, t)
+    out = cache.get(key)
+    if out is None:
+        d = model.dim
+        n, m = formmat.shape
+        out = np.empty((n * d, m * d), dtype=complex)
+        for i, row in enumerate(formmat.rows):
+            for j, form in enumerate(row):
+                out[i * d:(i + 1) * d, j * d:(j + 1) * d] = model.c(form, t)
+        out.flags.writeable = False
+        cache[key] = out
     return out
 
 
-def _kron_model(model, n):
-    Qh = np.kron(np.eye(n, dtype=complex), model.Q)
-    Gh = np.kron(np.eye(n, dtype=complex), model.grading)
-    return Qh, Gh
+def _supertrace(model, M):
+    """Str M for an operator M on H tensor C^n: the grading's diagonal,
+    tiled n times, times the diagonal of M, summed elementwise."""
+    signs = np.tile(np.diagonal(model.grading), M.shape[0] // model.dim)
+    return complex((signs * np.diagonal(M)).sum())
 
 
 def chern_t(model, t, target):
@@ -393,43 +404,30 @@ def _pair_forms(prime1, prime2):
     return prime1, prime2, alpha1 @ prime2
 
 
-def _scaled_f1(model, t, forms, cache):
+def _scaled_f1(model, t, forms, Qh):
     """The one-slot curvature of the rescaled module, sum over homogeneous
-    parts of t^(deg+1) F(part), in one pass over the stage
-    ``forms = _slot_forms(theta)``: with Q^ = 1 (x) Q,
+    parts of t^(deg+1) F(part), from the stage ``forms = _slot_forms(theta)``
+    and ``Qh`` = Q^ = 1 (x) Q:
 
         F1_t = c_t(d theta') - c_t(theta'') - t (Q^ c_t(theta') - c_(-t)(theta') Q^),
 
     where c_(-t) gives the degree-k part the sign (-1)^k of the graded
     commutator.  So -F1_t(sigma p) = c_t(p)."""
-    key = ("f1", forms, t)
-    out = cache.get(key)
-    if out is not None:
-        return out
     prime, second, d_prime = forms
-    Qh = _kron_model(model, prime.shape[0])[0]
-    out = _cmat(model, d_prime, t) - _cmat(model, second, t) \
+    return _cmat(model, d_prime, t) - _cmat(model, second, t) \
         - t * (Qh @ _cmat(model, prime, t) - _cmat(model, prime, -t) @ Qh)
-    cache[key] = out
-    return out
 
 
-def _scaled_f2(model, t, pair, cache):
+def _scaled_f2(model, t, pair):
     """The two-slot curvature of the rescaled module, sum over pairs of
-    homogeneous parts of t^(deg1+deg2) F(part1, part2), in one pass over the
-    stage ``pair = _pair_forms(theta1', theta2')``:
+    homogeneous parts of t^(deg1+deg2) F(part1, part2), from the stage
+    ``pair = _pair_forms(theta1', theta2')``:
 
         F2_t(theta1, theta2) = c_t(alpha(theta1') theta2') - c_(-t)(theta1') c_t(theta2').
     """
-    key = ("f2", pair, t)
-    out = cache.get(key)
-    if out is not None:
-        return out
     prime1, prime2, alpha_product = pair
-    out = _cmat(model, alpha_product, t) \
+    return _cmat(model, alpha_product, t) \
         - _cmat(model, prime1, -t) @ _cmat(model, prime2, t)
-    cache[key] = out
-    return out
 
 
 def _chern_matrix_word(model, t, mats):
@@ -447,15 +445,13 @@ def _chern_matrix_word(model, t, mats):
     for m in mats:
         if m.shape[0] != n:
             raise ValueError("mixed auxiliary dimensions in a word")
-    cache = model.__dict__.setdefault("_block_cache", {})
     forms = [_slot_forms(m) for m in mats]
-    Qh, Gh = _kron_model(model, n)
-    A = (t ** 2) * (Qh @ Qh)
+    Qh = np.kron(np.eye(n, dtype=complex), model.Q)
     corner = simplex_matrix_integral(
-        A, [-_scaled_f1(model, t, f, cache) for f in forms],
-        [-_scaled_f2(model, t, _pair_forms(f1[0], f2[0]), cache)
+        (t ** 2) * (Qh @ Qh), [-_scaled_f1(model, t, f, Qh) for f in forms],
+        [-_scaled_f2(model, t, _pair_forms(f1[0], f2[0]))
          for f1, f2 in zip(forms, forms[1:])])
-    return complex(np.trace(Gh @ corner))
+    return _supertrace(model, corner)
 
 
 # -- idempotents and the heat-supertrace comparison ----------------------------------------
@@ -600,16 +596,17 @@ def mckean_singer_check(model, p, t=1.0):
     exp(-D_p^2), not exp(-D_p): the two differ for a generic model, and
     only the former equals the character of the chain.
 
-    The sides share two pieces, each computed once: G = (2p-1)dp is the
-    sigma-free part of R, and the Duhamel block -F1(sigma p) is c_t(p).
+    The sides share two pieces: G = (2p-1)dp is the sigma-free part of R,
+    and the Duhamel block -F1(sigma p) is c_t(p).
 
     Only c_t depends on t.  The exact stage of the blocks of R (R', R'',
     dR' and alpha(R')R') is built on the first call for p and held on p
-    with R (see :func:`curvature_word_matrix`), so each later time, for any
-    model, costs the c_t matrices and two ``expm``.
+    with R (see :func:`curvature_word_matrix`).  The c_t matrices come from
+    the model's memo (:func:`_cmat`): one check forms c_t(R'), c_(-t)(R')
+    and c_t(p) once each, and a later check at the same t forms none, so it
+    costs the two ``expm``.
     """
     _check_time(t)
-    n = p.shape[0]
     R = curvature_word_matrix(p)
     memo = _exact_memo(p)
     stage = memo.get("mckean_singer")
@@ -617,13 +614,12 @@ def mckean_singer_check(model, p, t=1.0):
         r_forms = _slot_forms(R)
         stage = memo["mckean_singer"] = (r_forms, _pair_forms(r_forms[0], r_forms[0]))
     r_forms, r_pair = stage
-    cache = model.__dict__.setdefault("_block_cache", {})
-    Qh, Gh = _kron_model(model, n)
+    Qh = np.kron(np.eye(p.shape[0], dtype=complex), model.Q)
     p_hat = _cmat(model, p, t)
-    X = (t ** 2) * (Qh @ Qh) - _scaled_f1(model, t, r_forms, cache) \
-        + _scaled_f2(model, t, r_pair, cache)
-    lhs = complex(np.trace(Gh @ simplex_matrix_integral(X, [p_hat])))
+    X = (t ** 2) * (Qh @ Qh) - _scaled_f1(model, t, r_forms, Qh) \
+        + _scaled_f2(model, t, r_pair)
+    lhs = _supertrace(model, simplex_matrix_integral(X, [p_hat]))
 
     Dp = t * Qh + _cmat(model, r_forms[0], t)
-    rhs_sq = complex(np.trace(Gh @ p_hat @ _expm(-(Dp @ Dp))))
+    rhs_sq = _supertrace(model, p_hat @ _expm(-(Dp @ Dp)))
     return McKeanSingerReport(lhs, rhs_sq, abs(lhs - rhs_sq))

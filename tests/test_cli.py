@@ -254,6 +254,45 @@ def test_torus_cli_names_a_malformed_theta_value(tmp_path, capsys, coeff):
     assert doc == {"ok": False, "error": f"ValueError: bad complex number {coeff!r}"}
 
 
+@pytest.mark.parametrize("doc", [[1, 2], "0,0", 1.0, None])
+def test_torus_cli_rejects_a_theta_that_is_not_an_object(tmp_path, capsys, doc):
+    path = tmp_path / "theta.json"
+    path.write_text(json.dumps(doc))
+    code, out = run_cli(capsys, ["torus", "--theta", str(path), "-K", "2"])
+    assert code == 2
+    assert out == {"ok": False, "error": "ValueError: a theta document must be a "
+                                         f"JSON object, got {doc!r}"}
+
+
+@pytest.mark.parametrize("key", ["1", "0,0,0", "a,b", "0;0", "", "1.5,0", "0,"])
+def test_torus_cli_names_a_bad_theta_key(tmp_path, capsys, key):
+    # a key that is not two integers was ignored or dropped; it is named now
+    path = tmp_path / "theta.json"
+    path.write_text(json.dumps({"0,0": 1.0, key: 2}))
+    code, out = run_cli(capsys, ["torus", "--theta", str(path), "-K", "2"])
+    assert code == 2
+    assert out == {"ok": False, "error": "ValueError: theta keys must be two "
+                                         f"comma-separated integers \"q1,q2\", got {key!r}"}
+
+
+def test_torus_cli_rejects_a_repeated_theta_mode(tmp_path, capsys):
+    path = tmp_path / "theta.json"
+    path.write_text(json.dumps({"0,0": 1.0, " 0, 0": 2.0}))
+    code, out = run_cli(capsys, ["torus", "--theta", str(path), "-K", "2"])
+    assert code == 2
+    assert out == {"ok": False,
+                   "error": "ValueError: theta key ' 0, 0' repeats the mode (0, 0)"}
+
+
+def test_torus_cli_reads_signed_and_spaced_theta_keys(tmp_path, capsys):
+    path = tmp_path / "theta.json"
+    path.write_text(json.dumps({"+0, -0": 2.0, "-1,+2": 5.0}))
+    code, out = run_cli(capsys, ["torus", "--theta", str(path), "-K", "2"])
+    assert code in (0, 1)
+    target = complex(*out["rows"][0]["target"])
+    assert target == pytest.approx(2.0 * (2 * math.pi) ** 2 / (2j * math.pi))
+
+
 @pytest.mark.parametrize("field", ["Q", "c"])
 @pytest.mark.parametrize("coeff", ["1 + 2i", ["1", "x"], None])
 def test_model_cli_names_a_malformed_matrix_value(tmp_path, capsys, field, coeff):

@@ -18,7 +18,7 @@ from chernloc.fredholm import (FredholmModel, bismut_chern, bismut_words,
                                simplex_str_quad)
 from chernloc.multiform import FormElement, GeneratorTable
 from chernloc.sampling import random_form, random_word
-from chernloc.scalars import QC
+from chernloc.scalars import QC, TableMismatchError
 
 
 def base_table():
@@ -143,7 +143,7 @@ def test_curvature_vanishes_above_two_slots():
 def f1_by_parts(model, t, slot):
     """Oracle for the one-slot block: sum over homogeneous parts of degree k
     of t^(k+1) (c(d theta') - [Q^, c(theta')]_k - c(theta''))."""
-    Qh = fredholm._kron_model(model, slot.shape[0])[0]
+    Qh = q_hat(model, slot.shape[0])
     out = np.zeros_like(Qh)
     for deg, part in slot.homogeneous_parts().items():
         prime, second = part.split_sigma()
@@ -157,7 +157,7 @@ def f1_by_parts(model, t, slot):
 def f2_by_parts(model, t, slot1, slot2):
     """Oracle for the two-slot block: sum over pairs of homogeneous parts of
     t^(k1+k2) (-1)^(k1+1) (c(theta1') c(theta2') - c(theta1' theta2'))."""
-    out = np.zeros_like(fredholm._kron_model(model, slot1.shape[0])[0])
+    out = np.zeros_like(q_hat(model, slot1.shape[0]))
     for d1, part1 in slot1.homogeneous_parts().items():
         for d2, part2 in slot2.homogeneous_parts().items():
             p1, p2 = part1.split_sigma()[0], part2.split_sigma()[0]
@@ -167,15 +167,21 @@ def f2_by_parts(model, t, slot1, slot2):
     return out
 
 
-def f1_block(model, t, slot, cache):
+def q_hat(model, n):
+    """Q^ = 1 (x) Q on H tensor C^n."""
+    return np.kron(np.eye(n, dtype=complex), model.Q)
+
+
+def f1_block(model, t, slot):
     """The one-slot block of ``slot`` through its exact stage."""
-    return fredholm._scaled_f1(model, t, fredholm._slot_forms(slot), cache)
+    return fredholm._scaled_f1(model, t, fredholm._slot_forms(slot),
+                               q_hat(model, slot.shape[0]))
 
 
-def f2_block(model, t, slot1, slot2, cache):
+def f2_block(model, t, slot1, slot2):
     """The two-slot block of ``(slot1, slot2)`` through its exact stage."""
     return fredholm._scaled_f2(model, t, fredholm._pair_forms(
-        slot1.split_sigma()[0], slot2.split_sigma()[0]), cache)
+        slot1.split_sigma()[0], slot2.split_sigma()[0]))
 
 
 def _random_slot(table, rng, n):
@@ -205,22 +211,22 @@ def test_scaled_blocks_match_the_per_part_oracle(t):
         sigma_p = p.scale_form(table.sigma())
         mixed = [_random_slot(table, rng, n) for _ in range(3)]
         for slot in [R, sigma_p] + mixed:
-            nonzero += _assert_close(f1_block(m, t, slot, {}),
+            nonzero += _assert_close(f1_block(m, t, slot),
                                      f1_by_parts(m, t, slot))
         for slot1, slot2 in [(R, R), (R, mixed[0]), (mixed[1], R), (mixed[1], mixed[2])]:
-            nonzero += _assert_close(f2_block(m, t, slot1, slot2, {}),
+            nonzero += _assert_close(f2_block(m, t, slot1, slot2),
                                      f2_by_parts(m, t, slot1, slot2))
         # a constant part cancels in the commutator and in c(1 theta) - c(1) c(theta),
         # in one pass only up to rounding, so these compare at the scale of c(1) = 1
         one = mixed[0] + FormMatrix.identity(table, n)
-        _assert_close(f1_block(m, t, one, {}), f1_by_parts(m, t, one), 1.0)
+        _assert_close(f1_block(m, t, one), f1_by_parts(m, t, one), 1.0)
         for slot1, slot2 in [(one, mixed[1]), (mixed[2], one), (one, one)]:
-            _assert_close(f2_block(m, t, slot1, slot2, {}),
+            _assert_close(f2_block(m, t, slot1, slot2),
                           f2_by_parts(m, t, slot1, slot2), 1.0)
         # the two pieces mckean_singer_check reuses
         G = (p.scale(2) - FormMatrix.identity(table, n)) @ p.d()
         assert R.split_sigma()[0] == G
-        assert np.array_equal(-f1_block(m, t, sigma_p, {}),
+        assert np.array_equal(-f1_block(m, t, sigma_p),
                               fredholm._cmat(m, p, t))
     # not vacuous: a 1 x 1 idempotent is constant, so its R vanishes, but
     # most of the 36 blocks compared are nonzero (30 with this seed)
@@ -282,14 +288,16 @@ def chern_by_splittings(model, t, target):
         return chern_by_splittings(model, t, BarChain.from_word(table, target))
     mats = target if target and isinstance(target[0], FormMatrix) \
         else fredholm._as_form_matrix_word(table, target)
-    Qh, Gh = fredholm._kron_model(model, mats[0].shape[0] if mats else 1)
+    n = mats[0].shape[0] if mats else 1
+    Qh = q_hat(model, n)
+    Gh = np.kron(np.eye(n, dtype=complex), model.grading)
     A = (t ** 2) * (Qh @ Qh)
-    total, cache = 0j, {}
+    total = 0j
     for comp in _splittings(len(mats)):
         blocks, pos = [], 0
         for part in comp:
-            blocks.append(f1_block(model, t, mats[pos], cache) if part == 1
-                          else f2_block(model, t, mats[pos], mats[pos + 1], cache))
+            blocks.append(f1_block(model, t, mats[pos]) if part == 1
+                          else f2_block(model, t, mats[pos], mats[pos + 1]))
             pos += part
         if all(np.any(B) for B in blocks):
             total += (-1) ** len(blocks) * simplex_str_quad(A, blocks, Gh)
@@ -704,3 +712,108 @@ def test_bismut_chern_leaves_only_r_on_p():
     bismut_chern(p, 2)
     assert set(p._memo) == {"generation", "R"}
     assert curvature_word_matrix(p) is p._memo["R"]
+
+
+# -- the model's memo of c_t matrices --------------------------------------------------------
+
+
+def _counting_c(monkeypatch):
+    """Count the calls of FredholmModel.c from here on."""
+    calls = []
+    c = FredholmModel.c
+
+    def counted(self, form, t=1.0):
+        calls.append(t)
+        return c(self, form, t)
+
+    monkeypatch.setattr(FredholmModel, "c", counted)
+    return calls
+
+
+def test_a_check_at_a_time_seen_forms_no_c_matrix(monkeypatch):
+    table = rich_table()
+    m, p = _model_and_idempotent(table, 51)
+    first = mckean_singer_check(m, p, t=0.35)
+    calls = _counting_c(monkeypatch)
+    again = mckean_singer_check(m, p, t=0.35)
+    assert calls == []
+    assert _same_report(first, again)
+    # a new time forms new matrices
+    mckean_singer_check(m, p, t=0.5)
+    assert calls
+
+
+def test_one_check_forms_each_distinct_c_matrix_once(monkeypatch):
+    table = rich_table()
+    m, p = _model_and_idempotent(table, 51)
+    t = 0.35
+    R = curvature_word_matrix(p)
+    prime, second, d_prime = fredholm._slot_forms(R)
+    alpha_product = fredholm._pair_forms(prime, prime)[2]
+    # six keys, and equal matrices are one: with this seed R'', dR' and
+    # alpha(R') R' are all zero
+    distinct = {(p, t), (prime, t), (prime, -t), (second, t), (d_prime, t),
+                (alpha_product, t)}
+    assert len(distinct) == 4
+    calls = _counting_c(monkeypatch)
+    mckean_singer_check(m, p, t=t)
+    n = p.shape[0]
+    assert len(calls) == n * n * len(distinct)
+    assert set(m._block_cache) == distinct
+
+
+def test_a_held_c_matrix_is_read_only():
+    table = rich_table()
+    m, p = _model_and_idempotent(table, 51)
+    held = fredholm._cmat(m, p, 0.5)
+    assert not held.flags.writeable
+    with pytest.raises(ValueError):
+        held[0, 0] = 1.0
+    assert fredholm._cmat(m, p, 0.5) is held
+
+
+def test_equal_form_matrices_share_one_entry():
+    table = rich_table()
+    m = random_model(table, random.Random(3), 2, 2)
+    a = FormMatrix.parse(table, [["w + v y", "0"], ["1", "w v"]])
+    b = FormMatrix.parse(table, [["v y + w", "0"], ["1", "v w"]])
+    assert a == b and a is not b
+    assert fredholm._cmat(m, a, 0.5) is fredholm._cmat(m, b, 0.5)
+    assert len(m._block_cache) == 1
+
+
+# -- forms from another table -----------------------------------------------------------------
+
+
+def reordered_table():
+    """rich_table's generators declared in another order, so the same
+    monomial has other generator ids."""
+    t = GeneratorTable(6)
+    t.add_generator("v", 2)
+    t.add_generator("z", 3)
+    t.set_differential("v", "z")
+    t.add_generator("w", 2)
+    t.add_generator("y", 3)
+    t.set_differential("w", "y")
+    return t
+
+
+def test_mckean_singer_rejects_an_idempotent_from_another_table():
+    table = rich_table()
+    m, p = _model_and_idempotent(table, 51)
+    other = FormMatrix.parse(reordered_table(),
+                             [[e.canonical_str() for e in row] for row in p.rows])
+    with pytest.raises(TableMismatchError):
+        mckean_singer_check(m, other, t=0.5)
+    assert not m._block_cache
+    assert mckean_singer_check(m, p, t=0.5).difference < 1e-8
+
+
+def test_chern_rejects_a_form_matrix_from_another_table():
+    table = rich_table()
+    m = random_model(table, random.Random(3), 2, 2)
+    word = (FormMatrix.parse(reordered_table(), [["w + v y"]]),)
+    with pytest.raises(TableMismatchError):
+        chern_t(m, 0.5, word)
+    assert not m._block_cache
+    assert chern_t(m, 0.5, (FormMatrix.parse(table, [["w + v y"]]),)) != 0
