@@ -11,15 +11,23 @@ Degree bookkeeping follows the shifted convention
 
 A :class:`BarChain` is a ``scalars.TermMap`` over its generator table,
 so it shares the linear structure of forms.  Every chain operation
-(``from_words``, ``+``, ``-``, ``b0``, ``b1``, ``cyclic_symmetrize``) adds
-its output terms into one dict through ``scalars._add_term``, which drops
-an entry as soon as its sum cancels, and wraps that dict once without
-copying or rescanning it.  The cost is linear in the number of terms
-produced.  ``b0`` and ``b1`` read the per-monomial ``d_T`` and product
-memos of the :class:`GeneratorTable`, which the table clears whenever a
-generator or a differential changes, and every word's shifted degrees come
-from the table's degree memo.  Cyclic membership is one signed rotation
-per word (:func:`is_cyclic`); no symmetrized chain is built.
+(``from_words``, ``+``, ``-``, ``b0``, ``b1``, ``b``,
+``cyclic_symmetrize``) adds its output terms into one dict through
+``scalars._add_term``, which drops an entry as soon as its sum cancels, and
+wraps that dict once without copying or rescanning it.  The cost is linear
+in the number of terms produced.
+
+``b0``, ``b1`` and ``b`` are one walk per word (:func:`_boundary`): the
+walk reads each slot's degree from the table's degree memo once, carries
+the parity of the shifted degree, and adds the d_T terms, the adjacent
+products or, for ``b``, both into the one output dict.  The d_T and
+product terms come from the per-monomial memos of the
+:class:`GeneratorTable`, which the table clears whenever a generator or a
+differential changes.  The d_T memo stores an exact coefficient of +-1 as
+the shared ``QC_ONE`` or ``QC_MINUS_ONE``, so the walk uses the signed
+chain coefficient as it is instead of multiplying.  Cyclic membership is
+one signed rotation per word (:func:`is_cyclic`), with no symmetrized chain
+and no negated coefficient built.
 """
 
 from __future__ import annotations
@@ -28,8 +36,9 @@ from math import factorial
 
 import numpy as np
 
-from .multiform import SIGMA_ID, FormElement
-from .scalars import QC, QC_ONE, QC_ZERO, TermMap, _add_term, coerce, iszero
+from .multiform import SIGMA_ID, FormElement, _integer
+from .scalars import (QC, QC_MINUS_ONE, QC_ONE, QC_ZERO, TermMap, _add_term,
+                      coerce, iszero)
 
 # -- chains -------------------------------------------------------------------
 
@@ -80,16 +89,25 @@ class BarChain(TermMap):
             coeff = coerce(coeff)
             if iszero(coeff):
                 continue
-            expansions = [((), coeff)]
+            if type(word) is not tuple:
+                word = tuple(word)
             for entry in word:
                 if not isinstance(entry, FormElement):
                     raise TypeError("word entries must be FormElements")
                 if entry.table is not table:
                     raise ValueError("word entry over a different table")
+            if not word:
+                _add_term(out, (), coeff)
+                continue
+            expansions = [((), coeff)]
+            for entry in word[:-1]:
                 expansions = [(prefix + (mono,), c * mc) for prefix, c in expansions
                               for mono, mc in entry.terms.items()]
-            for key, c in expansions:
-                _add_term(out, key, c)
+            # the last slot's terms go straight into the output
+            last = word[-1].terms.items()
+            for prefix, c in expansions:
+                for mono, mc in last:
+                    _add_term(out, prefix + (mono,), c * mc)
         return cls._wrap(table, out)
 
     def __len__(self):
@@ -132,43 +150,79 @@ def _prefix_degrees(table, word):
     return out
 
 
-def b0(chain):
-    """Differential induced by d_T with signs (-1)^(n_{k-1})."""
+def _boundary(chain, d_T_terms, products):
+    """The d_T terms (b0), the adjacent products (b1) or both (b) of every
+    word, added into one dict in one walk per word.
+
+    The walk carries the parity of the shifted degree n_k of the slots
+    before slot k, reading each slot's degree from the table's degree memo
+    once.  A d_T coefficient of exactly +-1 is the shared ``QC_ONE`` or
+    ``QC_MINUS_ONE`` (:meth:`GeneratorTable.mono_d_T` stores it so), and
+    then the signed chain coefficient is used as it is.
+    """
     table = chain.table
+    degree_memo = table._degree_memo
+    mono_d_T = table.mono_d_T
+    mono_product = table.mono_product
     out = {}
     for word, coeff in chain.terms.items():
-        degs = _prefix_degrees(table, word)
+        neg = None   # -coeff, built when first needed
+        last = len(word) - 1
+        odd = 0   # n_k & 1
         for k, mono in enumerate(word):
-            dtheta = table.mono_d_T(mono)
-            if not dtheta:
-                continue
-            sign_coeff = -coeff if degs[k] & 1 else coeff
-            head, tail = word[:k], word[k + 1:]
-            for m2, mc in dtheta:
-                _add_term(out, head + (m2,) + tail, sign_coeff * mc)
+            if d_T_terms:
+                dtheta = mono_d_T(mono)
+                if dtheta:
+                    if neg is None:
+                        neg = -coeff
+                    # (-1)^(n_k) times the coefficient of d_T
+                    plus, minus = (neg, coeff) if odd else (coeff, neg)
+                    head, tail = word[:k], word[k + 1:]
+                    for m2, mc in dtheta:
+                        if mc is QC_ONE:
+                            c = plus
+                        elif mc is QC_MINUS_ONE:
+                            c = minus
+                        else:
+                            c = plus * mc
+                        _add_term(out, head + (m2,) + tail, c)
+            deg = degree_memo.get(mono)
+            if deg is None:
+                deg = table.mono_degree(mono)
+            odd ^= (deg ^ 1) & 1   # now n_(k+1) & 1
+            if products and k < last:
+                m2, sign = mono_product(mono, word[k + 1])
+                if m2 is not None:
+                    # (-1)^(n + 1), n the shifted degree through the left
+                    # factor, times the Koszul sign of the product
+                    if odd == (sign > 0):
+                        c = coeff
+                    elif neg is None:
+                        c = neg = -coeff
+                    else:
+                        c = neg
+                    _add_term(out, word[:k] + (m2,) + word[k + 2:], c)
     return BarChain._wrap(table, out)
+
+
+def b0(chain):
+    """Differential induced by d_T with signs (-1)^(n_{k-1}): one walk per
+    word (:func:`_boundary`), unit d_T coefficients not multiplied."""
+    return _boundary(chain, True, False)
 
 
 def b1(chain):
-    """Differential contracting adjacent slots with the algebra product."""
-    table = chain.table
-    out = {}
-    for word, coeff in chain.terms.items():
-        degs = _prefix_degrees(table, word)
-        neg = -coeff
-        for k in range(len(word) - 1):
-            mono, sign = table.mono_product(word[k], word[k + 1])
-            if mono is None:
-                continue
-            # (-1)^(n + 1), n the shifted degree through the left factor,
-            # times the Koszul sign of the product
-            c = coeff if (degs[k + 1] & 1) == (sign > 0) else neg
-            _add_term(out, word[:k] + (mono,) + word[k + 2:], c)
-    return BarChain._wrap(table, out)
+    """Differential contracting adjacent slots with the algebra product:
+    one walk per word (:func:`_boundary`)."""
+    return _boundary(chain, False, True)
 
 
 def b(chain):
-    return b0(chain) + b1(chain)
+    """b = b0 + b1: one walk per word (:func:`_boundary`) adds the d_T and
+    the product terms into one dict.  On float coefficients the sums may
+    round apart from ``b0(chain) + b1(chain)``, which adds them in another
+    order."""
+    return _boundary(chain, True, True)
 
 
 def cyclic_symmetrize(chain):
@@ -203,16 +257,36 @@ def is_cyclic(chain):
     on the other eigenspaces (the other N-th roots of unity): S x = N x
     exactly when T x = x.  T permutes basis words, so T x = x is checked
     one word at a time, and words of length 0 and 1 are fixed by T.
+
+    The parities of n_1 and n_N come from one read of the degree memo per
+    slot.  Two ``QC`` coefficients are compared as +-1 times each other by
+    their integer triples, so no negated coefficient is built; any other
+    pair is compared with ``!=``.  Either way the test is an exact equality.
     """
     table = chain.table
+    degree_memo = table._degree_memo
     terms = chain.terms
     for word, coeff in terms.items():
         if len(word) < 2:
             continue
-        degs = _prefix_degrees(table, word)
-        n1 = degs[1]
-        want = -coeff if (n1 * (degs[-1] - n1)) & 1 else coeff
-        if terms.get(word[1:] + word[:1]) != want:
+        odd = 0   # n_N & 1
+        for mono in word:
+            deg = degree_memo.get(mono)
+            if deg is None:
+                deg = table.mono_degree(mono)
+            odd ^= (deg ^ 1) & 1
+        deg = degree_memo[word[0]]
+        # n_1 (n_N - n_1) is odd when n_1 is odd and n_N is even
+        flip = not deg & 1 and not odd
+        other = terms.get(word[1:] + word[:1])
+        if type(other) is QC and type(coeff) is QC:
+            re_num, im_num = coeff.re_num, coeff.im_num
+            if flip:
+                re_num, im_num = -re_num, -im_num
+            if (other.re_num != re_num or other.im_num != im_num
+                    or other.den != coeff.den):
+                return False
+        elif other != (-coeff if flip else coeff):
             return False
     return True
 
@@ -255,7 +329,9 @@ class Cochain:
 
     A cochain is matrix-valued exactly when ``dim`` is given: its values
     act on ``C^dim`` graded as ``C^dim_plus (+) C^(dim - dim_plus)``, and
-    ``dim_plus`` defaults to ``dim // 2``.
+    ``dim_plus`` defaults to ``dim // 2``.  Both must be ints (a float, bool
+    or string is refused, not truncated), with 1 <= dim and
+    0 <= dim_plus <= dim.
     """
 
     __slots__ = ("table", "parity", "dim", "dim_plus", "components")
@@ -263,14 +339,16 @@ class Cochain:
     def __init__(self, table, parity, components, dim=None, dim_plus=None):
         self.table = table
         self.parity = parity & 1
-        self.dim = dim
         self.dim_plus = None
         if dim is not None:
-            if not dim:
-                raise ValueError("matrix cochains need a dimension")
-            self.dim_plus = dim // 2 if dim_plus is None else int(dim_plus)
+            dim = _integer(dim, "'dim'")
+            if dim < 1:
+                raise ValueError(f"matrix cochains need a positive dimension, got {dim}")
+            self.dim_plus = (dim // 2 if dim_plus is None
+                             else _integer(dim_plus, "'dim_plus'"))
             if not 0 <= self.dim_plus <= dim:
                 raise ValueError("dim_plus must lie in [0, dim]")
+        self.dim = dim
         self.components = dict(components)
 
     # -- value helpers ---------------------------------------------------------
@@ -317,21 +395,23 @@ class Cochain:
     # -- constructors -------------------------------------------------------------
     @classmethod
     def unit(cls, table, dim=None, dim_plus=None):
-        value = QC_ONE if dim is None else np.eye(dim, dtype=complex)
-        return cls(table, 0, {0: lambda w, v=value: v}, dim=dim, dim_plus=dim_plus)
+        unit = cls(table, 0, {}, dim=dim, dim_plus=dim_plus)
+        value = QC_ONE if unit.dim is None else np.eye(unit.dim, dtype=complex)
+        unit.components[0] = lambda w, v=value: v
+        return unit
 
     @classmethod
     def from_rules(cls, table, rules, parity, dim=None, dim_plus=None):
         """Finitely supported cochain: rules map monomial words to values."""
-        zero = QC_ZERO if dim is None else np.zeros((dim, dim), dtype=complex)
+        cochain = cls(table, parity, {}, dim=dim, dim_plus=dim_plus)
+        zero = cochain.zero_value()
         by_arity = {}
         for word, value in rules.items():
             by_arity.setdefault(len(word), {})[tuple(word)] = value
-        components = {
-            arity: (lambda word, _r=table_rules, _z=zero: _r.get(word, _z))
-            for arity, table_rules in by_arity.items()
-        }
-        return cls(table, parity, components, dim=dim, dim_plus=dim_plus)
+        cochain.components.update(
+            (arity, lambda word, _r=table_rules, _z=zero: _r.get(word, _z))
+            for arity, table_rules in by_arity.items())
+        return cochain
 
 
 def cochain_mul(l1, l2):

@@ -25,8 +25,8 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .scalars import (QC, QC_ONE, QC_ZERO, TableMismatchError, TermMap,
-                      _add_term, coerce, iszero)
+from .scalars import (QC, QC_MINUS_ONE, QC_ONE, QC_ZERO, TableMismatchError,
+                      TermMap, _add_term, coerce, iszero)
 
 SIGMA = "sigma"
 SIGMA_ID = 0
@@ -39,6 +39,17 @@ def _integer(value, what):
     return int(value)
 
 
+def _unit(c):
+    """``c``, or the shared ``QC_ONE``/``QC_MINUS_ONE`` when it is a ``QC``
+    equal to one of them (a float equal to +-1 is kept: it is inexact)."""
+    if type(c) is QC and c.den == 1 and not c.im_num:
+        if c.re_num == 1:
+            return QC_ONE
+        if c.re_num == -1:
+            return QC_MINUS_ONE
+    return c
+
+
 class GeneratorTable:
     """Generators, degrees, differentials and the ambient top degree.
 
@@ -46,7 +57,7 @@ class GeneratorTable:
     values, so a fresh table costs nothing:
 
     * the degree of a monomial (:meth:`mono_degree`), read once per slot of
-      every bar word by ``barcomplex._prefix_degrees``;
+      every bar word by the walks of ``barcomplex``;
     * the signed product of an ordered pair of monomials
       (:meth:`mono_product`, a ``(monomial, sign)`` pair), read by every
       form product through :func:`_mul_into` and by ``barcomplex.b1``;
@@ -54,7 +65,9 @@ class GeneratorTable:
       ``(monomial, coefficient)`` pairs), read by :meth:`FormElement.d` and
       :meth:`mono_d_T`;
     * the terms of ``d_T = d - iota`` of a monomial (:meth:`mono_d_T`),
-      read by ``barcomplex.b0``.
+      read by ``barcomplex.b0`` and ``barcomplex.b``, with an exact
+      coefficient of +-1 stored as the shared ``QC_ONE`` or
+      ``QC_MINUS_ONE``.
 
     The last three are cleared by :meth:`add_generator` and
     :meth:`set_differential`.  The degree memo never is: a generator's id
@@ -227,13 +240,20 @@ class GeneratorTable:
 
     def mono_d_T(self, mono):
         """Terms of d_T = d - iota of a monomial, as a tuple of (monomial,
-        coefficient) pairs."""
+        coefficient) pairs.
+
+        An exact coefficient equal to +-1 is stored as the shared ``QC_ONE``
+        or ``QC_MINUS_ONE``, so ``barcomplex`` can tell a unit by identity
+        and skip the multiply; a float coefficient is never replaced, even
+        when it equals +-1.
+        """
         terms = self._d_T_memo.get(mono)
         if terms is None:
             out = dict(self.mono_d(mono))
             if mono and mono[0] == SIGMA_ID:
-                _add_term(out, mono[1:], -QC_ONE)
-            terms = self._d_T_memo[mono] = tuple(out.items())
+                _add_term(out, mono[1:], QC_MINUS_ONE)
+            terms = self._d_T_memo[mono] = tuple(
+                (m, _unit(c)) for m, c in out.items())
         return terms
 
     def mono_product(self, ma, mb):

@@ -206,6 +206,7 @@ class QC:
 
 QC_ZERO = QC(0)
 QC_ONE = QC(1)
+QC_MINUS_ONE = QC(-1)
 QC_I = QC(0, 1)
 
 

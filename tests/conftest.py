@@ -70,6 +70,15 @@ def make_rng(seed):
     return random.Random(seed)
 
 
+def inexact_chain(chain, rng, share=1.0):
+    """``chain`` with each coefficient, with probability ``share``, made a
+    complex float times a random float factor (the rest stay exact)."""
+    from chernloc.barcomplex import BarChain
+    return BarChain(chain.table, {
+        word: complex(c) * rng.choice([0.1, 0.3, 1.7, -2.5]) if rng.random() < share else c
+        for word, c in chain.terms.items()})
+
+
 def random_rule_cochain(table, rng, parity, max_arity=2):
     """Finitely supported scalar cochain with exact rational values whose
     rules respect the declared (shifted) parity."""

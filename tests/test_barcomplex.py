@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from chernloc.barcomplex import (BarChain, Cochain, b, b0, b1, beta,
                                  cochain_mul, cochain_parity_report,
@@ -13,6 +15,7 @@ from chernloc.sampling import (random_chain, random_form,
                                random_homogeneous_form, random_table,
                                random_word)
 from chernloc.scalars import QC
+from conftest import inexact_chain
 
 
 def simple_table():
@@ -44,6 +47,18 @@ def test_b1_on_single_and_even_pair():
     f, g = t.gen("u"), t.parse("x y")
     got = b1(BarChain.from_word(t, (f, g)))
     assert got == BarChain.from_word(t, (f * g,))
+
+
+@pytest.mark.parametrize("dx, kind", [("1.0 * u", complex), ("-1 * u", QC),
+                                      ("-1.0 * u", complex), ("u", QC)])
+def test_unit_d_T_coefficients_keep_their_exactness(dx, kind):
+    # an exact d_T coefficient of +-1 is shared and not multiplied; a float
+    # one that equals +-1 stays a float (1.0 == QC(1) holds)
+    t = GeneratorTable.from_text(f"d 4\nx 1 {dx}\nu 2 0\n")
+    x = t.gen("x")
+    for image in (b0(BarChain.from_word(t, (x, x))), x.d_T(), b(BarChain.from_word(t, (x,)))):
+        assert image.terms
+        assert all(type(c) is kind for c in image.terms.values())
 
 
 def test_bar_laws_randomized():
@@ -155,6 +170,36 @@ def test_one_rotation_agrees_with_the_symmetrization_oracle():
             assert is_cyclic(x) == want
             seen[want] += 1
     assert min(seen.values()) >= 100
+
+
+@given(st.randoms(use_true_random=False), st.sampled_from([1.0, 0.5]))
+def test_one_rotation_agrees_with_the_oracle_on_inexact_chains(rng, share):
+    # complex float coefficients (share 1) and chains mixing them with QC
+    # coefficients (share 0.5); cyclic chains among them.  Not b(sym): b of
+    # a float cyclic chain is cyclic only up to rounding, where T x = x and
+    # S x = N x, equivalent in exact arithmetic, can read apart.
+    table = random_table(rng)
+    chain = inexact_chain(random_chain(table, rng, max_words=4, max_len=4), rng, share)
+    exact_sym = cyclic_symmetrize(random_chain(table, rng, max_words=3, max_len=4))
+    sym = cyclic_symmetrize(chain)
+    for x in (chain, sym, inexact_chain(exact_sym, rng, share),
+              inexact_chain(b(exact_sym), rng, share), sym + exact_sym,
+              chain + exact_sym):
+        assert is_cyclic(x) == symmetrization_oracle(x)
+
+
+def test_one_rotation_compares_every_part_of_an_exact_coefficient():
+    t = simple_table()
+    for word in ((t.gen("x"), t.parse("x y")), (t.gen("u"), t.gen("x"))):
+        sym = cyclic_symmetrize(BarChain.from_word(t, word, coeff=QC(1, 2)))
+        assert is_cyclic(sym) and len(sym.terms) == 2
+        key = next(iter(sym.terms))
+        c = sym.terms[key]
+        # another imaginary part, real part or denominator, and the negation
+        for other in (QC(c.re, -c.im), QC(c.re + 1, c.im), c / 3, -c):
+            x = BarChain(t, {**sym.terms, key: other})
+            assert not symmetrization_oracle(x)
+            assert not is_cyclic(x)
 
 
 def test_self_rotating_word_with_a_minus_sign_is_not_cyclic():
@@ -383,6 +428,24 @@ def test_value_kind_mismatch_rejected():
     matrix = Cochain.unit(table, dim=2)
     with pytest.raises(ValueError):
         cochain_mul(scalar, matrix)
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"dim": 4, "dim_plus": 2.5}, "'dim_plus' must be an integer, got 2.5"),
+    ({"dim": True}, "'dim' must be an integer, got True"),
+    ({"dim": 4.0}, "'dim' must be an integer, got 4.0"),
+    ({"dim": "2"}, "'dim' must be an integer, got '2'"),
+    ({"dim": 4, "dim_plus": "2"}, "'dim_plus' must be an integer, got '2'"),
+    ({"dim": -2}, "matrix cochains need a positive dimension, got -2"),
+    ({"dim": 4, "dim_plus": -1}, "dim_plus must lie in"),
+])
+def test_cochain_rejects_a_dimension_that_is_not_a_count(kwargs, message):
+    table = simple_table()
+    for make in (lambda: Cochain(table, 0, {}, **kwargs),
+                 lambda: Cochain.unit(table, **kwargs),
+                 lambda: Cochain.from_rules(table, {}, 0, **kwargs)):
+        with pytest.raises(ValueError, match=message):
+            make()
 
 
 def test_matrix_cochain_grading_checked():
