@@ -283,10 +283,14 @@ def cmd_torus(args):
     grid = [float(x) for x in args.t_grid.split(",")]
     rep = torus.convergence_report(model, theta, grid)
     max_abs, max_slope = torus.supertrace_constancy(model)
-    ok = all(r.relative < args.tol for r in rep.rows) and max_abs < 1e-10
+    vacuous = all(r.value == 0 and r.target == 0 for r in rep.rows)
+    ok = not vacuous and all(r.relative < args.tol for r in rep.rows) and max_abs < 1e-10
     out = rep.as_dict()
     out["supertrace_max"] = max_abs
     out["supertrace_slope"] = max_slope
+    if vacuous:
+        out["reason"] = ("vacuous check: every row compares 0 with a target of 0; "
+                         "theta needs a nonzero (0, 0) mode")
     out["ok"] = ok
     return _emit(out, ok)
 

@@ -2,17 +2,19 @@
 
 The Dirac operator acts on two-component spinors over Fourier modes; its
 square is the scalar |kappa|^2 = kappa_1^2 + kappa_2^2, so each truncated
-lattice Gaussian sum is the product of two circle sums, O(K) work per
-evaluation, with a Poisson-summation cross-check.  The rank-two Clifford
-conventions (including the grading) come from :mod:`chernloc.clifford`, so
-the constant reproduced by the small-time limit here is pinned to the same
-normalization as the symbolic modules.
+lattice Gaussian sum is the product of two circle sums, with a
+Poisson-summation cross-check.  A report reads the mode energies once and
+takes one exponential over its whole grid of heat times.  The rank-two
+Clifford conventions (including the grading) come from
+:mod:`chernloc.clifford`, so the constant reproduced by the small-time limit
+here is pinned to the same normalization as the symbolic modules.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -59,13 +61,19 @@ class TorusModel:
                          for L, letter in ((self.L1, self.spin[0]), (self.L2, self.spin[1]))])
 
 
+def _gaussian_sums(model, s_values):
+    """sum over the truncated lattice of exp(-s |kappa|^2) for each s, as the
+    product of the two circle sums; one exponential over every s and mode."""
+    for s in s_values:
+        if not (s > 0 and math.isfinite(s)):
+            raise ValueError(f"heat time must be finite and positive, got {s!r}")
+    neg_s = -np.asarray(s_values, dtype=float)
+    sums = np.exp(np.multiply.outer(neg_s, model.mode_energies())).sum(axis=-1)
+    return [float(row1) * float(row2) for row1, row2 in sums]
+
+
 def _gaussian_sum(model, s):
-    """sum over the truncated lattice of exp(-s |kappa|^2), as the product of
-    the two circle sums."""
-    if not (s > 0 and math.isfinite(s)):
-        raise ValueError(f"heat time must be finite and positive, got {s!r}")
-    e1, e2 = np.exp(-s * model.mode_energies())
-    return float(np.sum(e1)) * float(np.sum(e2))
+    return _gaussian_sums(model, [s])[0]
 
 
 def heat_trace(model, s):
@@ -92,8 +100,7 @@ def poisson_heat_trace(model, s, q_max=12):
 def heat_supertrace(model, s):
     """Str e^(-s D^2); vanishes identically on the flat torus since D^2 is
     scalar and the grading is traceless."""
-    gammas, grading = spinor_representation(2)
-    return complex(np.trace(grading)) * _gaussian_sum(model, s)
+    return _rank_two_traces()[0] * _gaussian_sum(model, s)
 
 
 def supertrace_constancy(model, s_grid=(0.01, 0.05, 0.1, 0.5, 1.0)):
@@ -102,7 +109,8 @@ def supertrace_constancy(model, s_grid=(0.01, 0.05, 0.1, 0.5, 1.0)):
     s_grid = list(s_grid)
     if not s_grid or any(not s1 < s2 for s1, s2 in zip(s_grid, s_grid[1:])):
         raise ValueError("heat-time grid must be nonempty and strictly increasing")
-    vals = [heat_supertrace(model, s) for s in s_grid]
+    tr_grading = _rank_two_traces()[0]
+    vals = [tr_grading * g for g in _gaussian_sums(model, s_grid)]
     max_abs = max(abs(v) for v in vals)
     max_slope = 0.0
     for (s1, v1), (s2, v2) in zip(zip(s_grid, vals), list(zip(s_grid, vals))[1:]):
@@ -110,10 +118,13 @@ def supertrace_constancy(model, s_grid=(0.01, 0.05, 0.1, 0.5, 1.0)):
     return max_abs, max_slope
 
 
-def _volume_quantum(model):
-    """tr(grading c(vol)) for the rank-two model: the Berezin constant."""
+@lru_cache(maxsize=1)
+def _rank_two_traces():
+    """tr(grading) and tr(grading c(vol)) of the rank-two representation; the
+    second is the Berezin constant."""
     gammas, grading = spinor_representation(2)
-    return complex(np.trace(grading @ gammas[0] @ gammas[1]))
+    return (complex(np.trace(grading)),
+            complex(np.trace(grading @ gammas[0] @ gammas[1])))
 
 
 def _zero_mode(theta_fourier):
@@ -126,6 +137,23 @@ def _zero_mode(theta_fourier):
     return complex(theta_fourier.get((0, 0), 0.0))
 
 
+def _check_scaling(t_grid):
+    for t in t_grid:
+        if not (t > 0 and 0 < t * t < math.inf):
+            raise ValueError(f"the scaling parameter t must be positive with t^2 a positive "
+                             f"finite float, got {t!r}")
+
+
+def _characters(model, t_grid, f0):
+    """t^2 f0 tr(grading c(vol)) sum exp(-t^2 |kappa|^2) for each t of a
+    checked grid; no exponential when f0 is 0."""
+    if f0 == 0:
+        return [0j] * len(t_grid)
+    quantum = _rank_two_traces()[1]
+    sums = _gaussian_sums(model, [t * t for t in t_grid])
+    return [(t * t) * f0 * quantum * g for t, g in zip(t_grid, sums)]
+
+
 def chern_t_torus(model, t, theta_fourier):
     """Character of the length-one word with entry sigma * (f vol).
 
@@ -134,13 +162,8 @@ def chern_t_torus(model, t, theta_fourier):
     cyclicity, giving t^2 Str(c(theta'') e^(-t^2 D^2)).  Spectrally only the
     zero mode of f contributes.
     """
-    if not (t > 0 and 0 < t * t < math.inf):
-        raise ValueError(f"the scaling parameter t must be positive with t^2 a positive "
-                         f"finite float, got {t!r}")
-    f0 = _zero_mode(theta_fourier)
-    if f0 == 0:
-        return 0j
-    return (t * t) * f0 * _volume_quantum(model) * _gaussian_sum(model, t * t)
+    _check_scaling([t])
+    return _characters(model, [t], _zero_mode(theta_fourier))[0]
 
 
 def chern_target(model, theta_fourier):
@@ -183,11 +206,15 @@ class ConvergenceReport:
 
 
 def convergence_report(model, theta_fourier, t_grid):
-    """Rows (t, Ch_t, |Ch_t - target|, relative) for a decreasing grid."""
+    """Rows (t, Ch_t, |Ch_t - target|, relative), one per t of a nonempty
+    grid, in the grid's order."""
     target = chern_target(model, theta_fourier)
+    t_grid = list(t_grid)
+    if not t_grid:
+        raise ValueError("the t grid must be nonempty")
+    _check_scaling(t_grid)
     rows = []
-    for t in t_grid:
-        v = chern_t_torus(model, t, theta_fourier)
+    for t, v in zip(t_grid, _characters(model, t_grid, _zero_mode(theta_fourier))):
         res = abs(v - target)
         rel = res / abs(target) if target else res
         rows.append(ConvergenceRow(float(t), v, target, res, rel))

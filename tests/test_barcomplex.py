@@ -11,11 +11,9 @@ from chernloc.barcomplex import (BarChain, Cochain, b, b0, b1, beta,
                                  cochain_mul, cochain_parity_report,
                                  cyclic_symmetrize, is_cyclic, restrict_i)
 from chernloc.multiform import GeneratorTable
-from chernloc.sampling import (random_chain, random_form,
-                               random_homogeneous_form, random_table,
-                               random_word)
+from chernloc.sampling import random_chain, random_form, random_table, random_word
 from chernloc.scalars import QC
-from conftest import inexact_chain
+from conftest import inexact_chain, random_rule_cochain
 
 
 def simple_table():
@@ -275,29 +273,6 @@ def test_restriction_of_constant_idempotent_chain():
 
 
 # -- cochains -------------------------------------------------------------------------------
-
-
-def random_rule_cochain(table, rng, parity, max_arity=2):
-    rules = {}
-    for _ in range(rng.randint(1, 4)):
-        arity = rng.randint(0, max_arity)
-        word = []
-        ok = True
-        for _ in range(arity):
-            f = random_homogeneous_form(table, rng)
-            if f.is_zero():
-                ok = False
-                break
-            mono = rng.choice(list(f.terms))
-            word.append(mono)
-        if not ok:
-            continue
-        word = tuple(word)
-        n_par = (sum(table.mono_degree(m) for m in word) - len(word)) & 1
-        if n_par != parity:
-            continue
-        rules[word] = QC(Fraction(rng.randint(-3, 3), rng.choice([1, 2])))
-    return Cochain.from_rules(table, rules, parity)
 
 
 def test_unit_cochain_is_neutral():

@@ -194,6 +194,23 @@ def test_torus_cli_detects_underresolved_cutoff(capsys):
     assert doc["rows"][0]["relative"] > 1e-4
 
 
+@pytest.mark.parametrize("theta", [None, {"1,0": 2.0, "0,-3": "1i"}, {"0,0": 0}])
+def test_torus_cli_fails_a_vacuous_report(tmp_path, capsys, theta):
+    # with theta'' of zero mean every row compares 0 with 0, which checks nothing
+    if theta is None:
+        argv = ["--beta", "0"]
+    else:
+        path = tmp_path / "theta.json"
+        path.write_text(json.dumps(theta))
+        argv = ["--theta", str(path)]
+    code, doc = run_cli(capsys, ["torus", "-K", "8", *argv])
+    assert code == 1
+    assert doc["ok"] is False
+    assert doc["reason"] == ("vacuous check: every row compares 0 with a target of 0; "
+                             "theta needs a nonzero (0, 0) mode")
+    assert all(row["target"] == [0.0, 0.0] and row["relative"] == 0.0 for row in doc["rows"])
+
+
 def test_torus_cli_has_no_json_flag(capsys):
     # the report is always JSON; the flag that suppressed a text table is gone
     with pytest.raises(SystemExit):

@@ -189,6 +189,63 @@ def test_convergence_report_rows():
     assert d["K"] == 64 and len(d["rows"]) == 3
 
 
+def test_convergence_report_rejects_an_empty_grid():
+    # an empty grid has no rows, so a check over all rows would pass vacuously
+    for grid in ([], ()):
+        with pytest.raises(ValueError, match="t grid must be nonempty"):
+            convergence_report(TorusModel(K=4), {(0, 0): 1.0}, grid)
+
+
+def model_id(model):
+    return f"{model.spin}-K{model.K}-{model.L1:.3g}x{model.L2:.3g}"
+
+
+IDENTITY_MODELS = [TorusModel(L1=L1, L2=L2, K=K, spin=spin)
+                   for spin in SPINS for K in (1, 64, 512)
+                   for L1, L2 in ((2 * math.pi, 2 * math.pi), (1.3, 7.9))]
+
+
+@pytest.mark.parametrize("model", IDENTITY_MODELS, ids=model_id)
+def test_report_rows_equal_the_character_at_each_time(model):
+    # one exponential over the grid gives each row exactly the one-time value
+    grid = [0.5, 0.2, 1, 0.1, 0.05, 0.013]
+    for theta in ({(0, 0): 0.7 - 0.3j}, {(0, 0): 2.0, (1, -1): 5.0}, {(1, 0): 2.0}):
+        rows = convergence_report(model, theta, grid).rows
+        assert [r.t for r in rows] == [float(t) for t in grid]
+        assert [r.value for r in rows] == [chern_t_torus(model, t, theta) for t in grid]
+        target = chern_target(model, theta)
+        assert all(r.target == target for r in rows)
+
+
+@pytest.mark.parametrize("model", IDENTITY_MODELS, ids=model_id)
+def test_supertrace_constancy_equals_the_loop_over_times(model):
+    grid = (0.01, 0.05, 0.1, 0.5, 1.0)
+    vals = [heat_supertrace(model, s) for s in grid]
+    slopes = [abs(v2 - v1) / abs(s2 - s1)
+              for s1, s2, v1, v2 in zip(grid, grid[1:], vals, vals[1:])]
+    assert supertrace_constancy(model, grid) == (max(abs(v) for v in vals),
+                                                 max([0.0, *slopes]))
+
+
+def test_a_report_reads_the_mode_energies_once(monkeypatch):
+    calls = []
+    energies = TorusModel.mode_energies
+
+    def counted(model):
+        calls.append(model)
+        return energies(model)
+
+    monkeypatch.setattr(TorusModel, "mode_energies", counted)
+    model = TorusModel(K=8)
+    convergence_report(model, {(0, 0): 1.0}, [0.5, 0.2, 0.1, 0.05])
+    assert calls == [model]
+    supertrace_constancy(model)
+    assert calls == [model, model]
+    # a zero mode of 0 takes no exponential at all
+    convergence_report(model, {(1, 0): 1.0}, [0.5, 0.2])
+    assert calls == [model, model]
+
+
 def test_matches_symbolic_constant_at_zero_curvature(curvature_d2):
     # the spectral limit and the symbolic boundary evaluation carry the same
     # (2 pi i)^(-1) normalization
