@@ -31,9 +31,8 @@ from .fredholm import (FredholmModel, bismut_chern, chern_t,
                        curvature_cochain, mckean_singer_check)
 from .localize import limit_theorem_check
 from .mehler import (KAPPA_COEFF, CurvatureMatrix, GaussianKernel, a_hat,
-                     heat_element, heat_equation_residual, kappa_form,
-                     mehler_kernel, solve_kappa_constant, str_zero,
-                     twisted_convolve)
+                     heat_element, heat_equation_residual, mehler_kernel,
+                     solve_kappa_constant, str_zero, twisted_convolve)
 from .multiform import FormElement, GeneratorTable, check_dga, parse_form
 from .scalars import QC, PiScalar, TauPoly
 from .torus import (TorusModel, chern_t_torus, convergence_report, heat_trace,
@@ -51,7 +50,7 @@ __all__ = [
     "mckean_singer_check",
     "limit_theorem_check",
     "KAPPA_COEFF", "CurvatureMatrix", "GaussianKernel", "a_hat",
-    "heat_element", "heat_equation_residual", "kappa_form", "mehler_kernel",
+    "heat_element", "heat_equation_residual", "mehler_kernel",
     "solve_kappa_constant", "str_zero", "twisted_convolve",
     "FormElement", "GeneratorTable", "check_dga", "parse_form",
     "QC", "PiScalar", "TauPoly",

@@ -223,8 +223,10 @@ def cmd_mehler(args):
                                    mehler.kernel_max_residual(lhs, rhs))
     heat_ok = mehler.heat_equation_residual(R).is_zero()
     ah = mehler.a_hat(R)
-    ah_ok = ah.constant_term() == QC(1) and all(
-        table.mono_degree(m) % 4 == 0 for m in ah.terms)
+    # A-hat is even in R with constant term 1 (its degrees are multiples of
+    # four only when every curvature entry is a 2-form)
+    ah_ok = (ah.constant_term() == QC(1)
+             and mehler.a_hat(mehler.CurvatureMatrix(table, R.d, -R.mat)) == ah)
     ok = semigroup_ok and heat_ok and ah_ok
     return _emit({
         "kappa_constant": str(kappa),

@@ -8,12 +8,13 @@ nilpotent; they are even in M, and the odd part of exp(z) z csch(z) costs
 one more product with M.  Each kernel does only the matrix work its reader
 reads: the boundary supertrace reads the norm and prefactor alone, and
 only the two-point kernel builds the X-Y block.  A Gaussian kernel holds
-its quadratic form as d x d blocks (X-X, and for a two-point kernel X-Y and
-Y-Y).  Determinants and solves of Gaussian data come from one Gauss-Jordan
-elimination over the commutative local ring of even forms: it returns the
-determinant and M^-1 B for the right-hand side B its caller reads (none
-when only the determinant is needed), and its pivots also test that the
-numeric part is positive definite (Sylvester's criterion).
+its quadratic form as d x d blocks: X-X, and for a two-point kernel X-Y,
+its Y-Y block being its X-X block.  Determinants and solves of Gaussian
+data come from one Gauss-Jordan elimination over the commutative local
+ring of even forms: it returns the determinant and M^-1 B for the
+right-hand side B its caller reads (none when only the determinant is
+needed), and its pivots also test that the numeric part is positive
+definite (Sylvester's criterion).
 
 Main objects:
 
@@ -34,9 +35,10 @@ Main objects:
   extraction at the origin.
 
 The kappa normalization is not hard-coded blindly: :func:`solve_kappa_constant`
-re-derives it from the order-R^1 cross-term matching of the factorization
-H_tau(X,Y) = H_tau(X-Y) exp(-1/2 kappa(X,Y)), on the degree-two parts of
-the curvature entries, and then checks the full identity.
+derives it from the factorization H_tau(X,Y) = H_tau(X-Y) exp(-1/2 kappa(X,Y)).
+Both sides share the norm, prefactor and X-X block, so the factorization
+constrains the X-Y block alone: X-Y + X-X must be (c/2) R, c read off one
+coefficient and then checked on every entry.
 """
 
 from __future__ import annotations
@@ -47,8 +49,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .formmatrix import FormMatrix, mat_powers, power_sum
-from .multiform import (FormElement, GeneratorTable, exp_nilpotent,
-                        inverse_unit, log_one_plus)
+from .multiform import (FormElement, GeneratorTable, _series, exp_nilpotent,
+                        inverse_unit)
 from .scalars import (QC, QC_ZERO, PiScalar, TauPoly, bernoulli_numbers,
                       coerce, is_exact, two_over_i_pow)
 
@@ -143,8 +145,9 @@ def a_hat(R):
     """The characteristic form det^(1/2)((R/2)/sinh(R/2)).
 
     Computed as exp(-1/2 tr log(sinh(M)/M)) for M = R/2, the log series
-    summed as sum_k c_2k tr M^2k over the powers of M^2; even, constant
-    term 1, only degrees divisible by four occur.
+    summed as sum_k c_2k tr M^2k over the powers of M^2.  It is even in R
+    (a_hat(-R) == a_hat(R)) with constant term 1; only when every entry of R
+    is a 2-form are its degrees all divisible by four.
     """
     M = R.mat.scale(Fraction(1, 2))
     powers = mat_powers(M @ M)
@@ -210,11 +213,13 @@ def _qc_sqrt(x):
 
 
 def _det_invsqrt(det):
-    """det^(-1/2) split as (scalar, unit-series FormElement)."""
+    """det^(-1/2) split as (scalar, unit-series FormElement): with
+    det = det0 (1 + u), the series (1 + u)^(-1/2) = sum_k binom(-1/2, k) u^k."""
     det0 = coerce(det.constant_term())
     inv0 = QC(1) / det0 if isinstance(det0, QC) else 1.0 / det0
     nil = (det - det.table.scalar(det0)).scale(inv0)   # det/det0 - 1
-    inv_sqrt_series = exp_nilpotent(log_one_plus(nil).scale(Fraction(-1, 2)))
+    inv_sqrt_series = _series(nil, lambda k: Fraction((-1) ** k * math.comb(2 * k, k), 4 ** k),
+                              det.table.one())
     root = _qc_sqrt(inv0) if isinstance(inv0, QC) else None
     scalar = root if root is not None else cmath.sqrt(complex(inv0))
     return scalar, inv_sqrt_series
@@ -226,19 +231,18 @@ def _det_invsqrt(det):
 class GaussianKernel:
     """norm * pi^pi_pow * prefactor * exp(-1/2 (X,Y)^T Q (X,Y)).
 
-    Q = [[xx, xy], [xy^T, yy]] is held as its d x d FormMatrix blocks, whose
-    constant parts are the numeric Gaussian data.  A one-variable kernel
-    f(X) has ``xy`` and ``yy`` None; :func:`heat_prefactor` also leaves
-    ``xx`` None, for the boundary supertrace alone.  The prefactor is a
-    form, constant in X and Y.
+    Q = [[xx, xy], [xy^T, xx]] is held as its d x d FormMatrix blocks, whose
+    constant parts are the numeric Gaussian data; every two-variable kernel
+    is a :func:`mehler_kernel`, whose Y-Y block is its X-X block.  A
+    one-variable kernel f(X) has ``xy`` None; :func:`heat_prefactor` also
+    leaves ``xx`` None, for the boundary supertrace alone.  The prefactor is
+    a form, constant in X and Y.
     """
 
-    __slots__ = ("table", "d", "norm", "pi_pow", "prefactor", "xx", "xy", "yy")
+    __slots__ = ("table", "d", "norm", "pi_pow", "prefactor", "xx", "xy")
 
-    def __init__(self, table, d, norm, pi_pow, prefactor, xx, xy=None, yy=None):
-        if (xy is None) != (yy is None):
-            raise ValueError("a two-variable kernel needs its X-Y and Y-Y blocks")
-        if any(b is not None and b.shape != (d, d) for b in (xx, xy, yy)):
+    def __init__(self, table, d, norm, pi_pow, prefactor, xx, xy=None):
+        if any(b is not None and b.shape != (d, d) for b in (xx, xy)):
             raise ValueError("kernel blocks must be d x d")
         self.table = table
         self.d = d
@@ -247,7 +251,6 @@ class GaussianKernel:
         self.prefactor = prefactor
         self.xx = xx
         self.xy = xy
-        self.yy = yy
 
     @property
     def is_one_variable(self):
@@ -255,25 +258,7 @@ class GaussianKernel:
 
     def scale_prefactor(self, form):
         return GaussianKernel(self.table, self.d, self.norm, self.pi_pow,
-                              form * self.prefactor, self.xx, self.xy, self.yy)
-
-    def mul(self, other):
-        """Pointwise product of two-variable kernels over the same variables."""
-        if other.table is not self.table or other.d != self.d:
-            raise ValueError("kernel mismatch")
-        if self.is_one_variable or other.is_one_variable:
-            raise ValueError("kernel product needs two-variable kernels")
-        return GaussianKernel(self.table, self.d, self.norm * other.norm,
-                              self.pi_pow + other.pi_pow, self.prefactor * other.prefactor,
-                              self.xx + other.xx, self.xy + other.xy, self.yy + other.yy)
-
-    def shift_to_difference(self):
-        """One-variable f(X) viewed as the two-variable kernel f(X - Y)."""
-        if not self.is_one_variable:
-            raise ValueError("kernel must be one-variable")
-        A = self.xx
-        return GaussianKernel(self.table, self.d, self.norm, self.pi_pow,
-                              self.prefactor, A, -A, A)
+                              form * self.prefactor, self.xx, self.xy)
 
     def __eq__(self, other):
         if not isinstance(other, GaussianKernel):
@@ -281,7 +266,7 @@ class GaussianKernel:
         return (self.table is other.table and self.d == other.d
                 and self.pi_pow == other.pi_pow and self.norm == other.norm
                 and self.prefactor == other.prefactor and self.xx == other.xx
-                and self.xy == other.xy and self.yy == other.yy)
+                and self.xy == other.xy)
 
     def __repr__(self):
         return (f"<GaussianKernel d={self.d} norm={self.norm} "
@@ -339,12 +324,12 @@ def mehler_kernel(tau, R):
     xy = (power_sum(even, c[::2]) + M @ power_sum(even, c[1::2])) \
         .scale(inv_tau * QC(Fraction(-1, 2)))
     xx = _xx_block(inv_tau, even)
-    return GaussianKernel(R.table, R.d, norm, -(R.d // 2), prefactor, xx, xy, xx)
+    return GaussianKernel(R.table, R.d, norm, -(R.d // 2), prefactor, xx, xy)
 
 
 def heat_element(tau, R):
     """One-point heat element H_tau(X), the two-point kernel at Y = 0,
-    built without the X-Y and Y-Y blocks."""
+    built without the X-Y block."""
     inv_tau, _, even, norm, prefactor = _kernel_parts(tau, R)
     return GaussianKernel(R.table, R.d, norm, -(R.d // 2), prefactor,
                           _xx_block(inv_tau, even))
@@ -355,27 +340,6 @@ def heat_prefactor(tau, R):
     prefactor, all that :func:`str_zero` reads of it."""
     _, _, _, norm, prefactor = _kernel_parts(tau, R)
     return GaussianKernel(R.table, R.d, norm, -(R.d // 2), prefactor, None)
-
-
-def kappa_form(X, Y, R, coeff=None):
-    """The curvature pairing kappa(X, Y) as a 2-form: coeff * sum R_ij X_i Y_j."""
-    c = Fraction(coeff if coeff is not None else KAPPA_COEFF)
-    out = R.table.zero()
-    for i in range(R.d):
-        for j in range(R.d):
-            w = c * Fraction(X[i]) * Fraction(Y[j]) if not isinstance(X[i], float) \
-                else c * X[i] * Y[j]
-            if w:
-                out += R.entry(i, j).scale(w)
-    return out
-
-
-def twist_factor(R, coeff=None):
-    """The kernel exp(-1/2 kappa(X, Y)) as a Gaussian with zero diagonal blocks."""
-    c = Fraction(coeff if coeff is not None else KAPPA_COEFF)
-    xy = R.mat.scale(QC(c) * QC(Fraction(1, 2)))
-    zero = FormMatrix.zero(R.table, R.d)
-    return GaussianKernel(R.table, R.d, QC(1), 0, R.table.one(), zero, xy, zero)
 
 
 def twisted_convolve(f, g, R, kappa_coeff=None):
@@ -402,11 +366,14 @@ def twisted_convolve(f, g, R, kappa_coeff=None):
 
 
 def solve_kappa_constant(tau=Fraction(1, 2), R=None):
-    """Derive the kappa normalization from the order-R^1 cross-term matching
-    of H_tau(X,Y) = H_tau(X-Y) exp(-1/2 kappa(X,Y)), then verify the full
-    factorization with the derived constant.
+    """Derive the kappa normalization from the factorization
+    H_tau(X,Y) = H_tau(X-Y) exp(-1/2 kappa(X,Y)).
 
-    Returns the Fraction c with kappa(X,Y) = c * sum R_ij X_i Y_j.
+    Both sides share the norm, prefactor and X-X block, and the X-Y block of
+    the right side is -X-X + (c/2) R, so the factorization holds exactly when
+    X-Y + X-X == (c/2) R.  c is read off one coefficient and then required
+    on every entry.  Returns the Fraction c with
+    kappa(X,Y) = c * sum R_ij X_i Y_j.
     """
     if R is None:
         table = GeneratorTable(2)
@@ -416,33 +383,18 @@ def solve_kappa_constant(tau=Fraction(1, 2), R=None):
                                                          [-w, table.zero()]]))
     _require_exact(R, "the kappa derivation")
     Ht = mehler_kernel(tau, R)
-    H = heat_element(tau, R)
-    shifted = H.shift_to_difference()
-    delta = Ht.xy - shifted.xy
-    # order-R^1 part lives in the degree-2 components of the entries
-    lam = None
-    for i in range(R.d):
-        for j in range(R.d):
-            target = delta[i, j].homogeneous_parts().get(2)
-            source = R.entry(i, j).homogeneous_parts().get(2)
-            if target is None or source is None:
-                continue
-            for mono, rc in source.terms.items():
-                ratio = target.coefficient(mono) / rc
-                if lam is None:
-                    lam = ratio
-                elif lam != ratio:
-                    raise ArithmeticError("cross term is not proportional to R")
+    delta = Ht.xy + Ht.xx
+    lam = next((delta[i, j].coefficient(mono) / rc
+                for i in range(R.d) for j in range(R.d)
+                for mono, rc in R.entry(i, j).terms.items()), None)
     if lam is None:
         raise ArithmeticError("degenerate curvature; cannot solve")
     if lam.im != 0:
-        raise ArithmeticError("cross-term ratio is not rational")
-    # delta = (c/2) R at order R^1
+        raise ArithmeticError("X-Y block ratio is not rational")
     c = Fraction(2) * lam.re
-    # no further freedom: the full factorization must hold exactly
-    candidate = shifted.mul(twist_factor(R, c))
-    if candidate != Ht:
-        raise ArithmeticError("order-R^1 constant does not extend to all orders")
+    if delta != R.mat.scale(c / 2):
+        raise ArithmeticError(f"X-Y block is not (c/2) R - X-X for the c = {c} "
+                              "read off its first coefficient")
     return c
 
 
@@ -464,7 +416,7 @@ def kernel_max_residual(a, b):
     if (a.pi_pow != b.pi_pow or a.d != b.d
             or a.is_one_variable != b.is_one_variable):
         return float("inf")
-    pairs = zip((a.xx, a.xy, a.yy), (b.xx, b.xy, b.yy))
+    pairs = zip((a.xx, a.xy), (b.xx, b.xy))
     return max(abs(complex(a.norm) - complex(b.norm)),
                coefficient_gap(a.prefactor, b.prefactor),
                *(coefficient_gap(p, q) for x, y in pairs if x is not None
@@ -513,7 +465,7 @@ def heat_equation_residual(R):
     H = mehler_kernel(TauPoly.var(1), R)
     xx, xy = H.xx, H.xy
     Q = FormMatrix(table, [a + b for a, b in zip(xx.rows, xy.rows)]
-                   + [a + b for a, b in zip(xy.transpose().rows, H.yy.rows)])
+                   + [a + b for a, b in zip(xy.transpose().rows, xx.rows)])
     P = H.prefactor
     zero = table.zero()
     L = -FormMatrix(table, [a + b for a, b in

@@ -537,13 +537,6 @@ def exp_nilpotent(u):
     return _series(u, lambda k: Fraction(1, math.factorial(k)), u.table.one())
 
 
-def log_one_plus(u):
-    """log(1 + u) for a form u with zero constant term."""
-    if not iszero(u.constant_term()):
-        raise ValueError("log(1+u) requires u without constant term")
-    return _series(u, lambda k: Fraction(1 if k % 2 else -1, k), u.table.zero())
-
-
 def inverse_unit(f):
     """Inverse of a form whose constant term is invertible: with
     f = c0 (1 + u), f^-1 = c0^-1 sum (-u)^k."""

@@ -38,13 +38,21 @@ class TorusModel:
     spin: str = "pp"
 
     def __post_init__(self):
+        if _integer(self.K, "Fourier cutoff") < 1:
+            raise ValueError("Fourier cutoff must be at least one")
         for L in (self.L1, self.L2):
             if not (math.isfinite(L) and L > 0):
                 raise ValueError(f"side lengths must be finite and positive, got {L!r}")
-        if not math.isfinite(self.L1 * self.L2):
-            raise ValueError(f"the area L1 * L2 = {self.L1!r} * {self.L2!r} overflows")
-        if _integer(self.K, "Fourier cutoff") < 1:
-            raise ValueError("Fourier cutoff must be at least one")
+        area = self.L1 * self.L2
+        if not (math.isfinite(area) and area > 0):
+            raise ValueError(f"the area L1 * L2 = {self.L1!r} * {self.L2!r} "
+                             f"{'underflows to 0' if area == 0 else 'overflows'}")
+        for name, L in (("L1", self.L1), ("L2", self.L2)):
+            top = 2 * math.pi * (self.K + 0.5) / L
+            if not math.isfinite(top * top):
+                raise ValueError(f"side {name} = {L!r} is too short for the cutoff "
+                                 f"K = {self.K}: the largest mode energy "
+                                 "(2 pi (K + 1/2) / L)^2 is not finite")
         if len(self.spin) != 2 or any(s not in _SPIN_OFFSETS for s in self.spin):
             raise ValueError("spin structure must be two letters from {p, a}")
 

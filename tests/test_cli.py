@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -356,6 +357,22 @@ def test_torus_cli_rejects_overflowing_times_and_sides(capsys, argv, message):
     assert doc == {"ok": False, "error": f"ValueError: {message}"}
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--L1", "1e-200", "--L2", "1e-200"], "the area L1 * L2 = 1e-200 * 1e-200 underflows to 0"),
+    (["--L1", "1", "--L2", "1e-160"], "side L2 = 1e-160 is too short for the cutoff K = 2: "
+                                      "the largest mode energy (2 pi (K + 1/2) / L)^2 is "
+                                      "not finite")])
+def test_torus_cli_refuses_sides_it_cannot_evaluate(capsys, argv, message):
+    # numpy would warn on stderr of an overflow in such a side's mode energies
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["torus", *argv, "-K", "2", "--t-grid", "0.1"])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert strict_json(out) == {"ok": False, "error": f"ValueError: {message}"}
+    assert err == "" and not caught
+
+
 def test_non_finite_result_is_a_json_error(capsys):
     # a finite beta whose target overflows gives an infinite target and a NaN
     # relative error; the report is refused before anything reaches stdout
@@ -457,7 +474,7 @@ def test_malformed_table_document_is_a_json_error(tmp_path, capsys, table, key):
 
 
 def test_mehler_cli_with_a_degree_four_curvature_term(tmp_path, capsys):
-    # the kappa constant is matched on the degree-two part of each entry
+    # the kappa constant holds on the degree-four part of an entry too
     path = tmp_path / "mehler.json"
     path.write_text(json.dumps({
         "d": 4,
@@ -472,6 +489,39 @@ def test_mehler_cli_with_a_degree_four_curvature_term(tmp_path, capsys):
     assert doc["ok"] and doc["semigroup_exact"] and doc["heat_equation_exact"]
     assert doc["a_hat_normalized"]
     assert doc["kappa_constant"] == "-1/2"
+
+
+def test_mehler_cli_with_a_degree_six_a_hat_term(tmp_path, capsys):
+    # with u + u v in R, A-hat has the degree-six term 1/12 u^2 v; it is still
+    # even in R with constant term 1, so it is normalized
+    path = tmp_path / "mehler.json"
+    path.write_text(json.dumps({
+        "d": 6,
+        "generators": ["u", "v", "w"],
+        "R": [["0", "u + u v", "0", "0", "0", "0"],
+              ["-u - u v", "0", "0", "0", "0", "0"],
+              ["0", "0", "0", "v", "0", "0"],
+              ["0", "0", "-v", "0", "0", "0"],
+              ["0", "0", "0", "0", "0", "w"],
+              ["0", "0", "0", "0", "-w", "0"]],
+    }))
+    code, doc = run_cli(capsys, ["mehler", str(path)])
+    assert code == 0
+    assert doc["a_hat_normalized"] and doc["ok"]
+    assert "1/12 * u^2 v" in doc["a_hat"]
+    assert doc["kappa_constant"] == "-1/2"
+
+
+def test_mehler_cli_refuses_an_a_hat_that_is_not_even(tmp_path, capsys, monkeypatch):
+    import chernloc.mehler as mh
+    a_hat = mh.a_hat
+    monkeypatch.setattr(mh, "a_hat", lambda R: a_hat(R) + R.mat[0, 1])
+    path = tmp_path / "mehler.json"
+    path.write_text(json.dumps({"d": 2, "generators": ["w"],
+                                "R": [["0", "w"], ["-w", "0"]]}))
+    code, doc = run_cli(capsys, ["mehler", str(path)])
+    assert code == 1
+    assert not doc["a_hat_normalized"] and not doc["ok"]
 
 
 def test_parenthesized_sum_in_a_word_is_a_json_error(tmp_path, capsys):

@@ -38,6 +38,21 @@ def test_model_validation():
     assert TorusModel(K=np.int64(3)).mode_energies().shape == (2, 7)
 
 
+def test_model_refuses_sides_it_cannot_evaluate():
+    # the largest mode energy (2 pi (K + 1/2) / L)^2 must be finite, and the
+    # area must not underflow to 0
+    with pytest.raises(ValueError, match="area L1 \\* L2 = 1e-200 \\* 1e-200 underflows to 0"):
+        TorusModel(L1=1e-200, L2=1e-200, K=2)
+    for side in ("L1", "L2"):
+        with pytest.raises(ValueError, match=f"side {side} = 1e-160 is too short for the "
+                                             "cutoff K = 2"):
+            TorusModel(K=2, **{side: 1e-160})
+    # the same side can be fine at one cutoff and too short at a higher one
+    with pytest.raises(ValueError, match="side L1 = 1e-152 is too short for the cutoff K = 100"):
+        TorusModel(L1=1e-152, K=100)
+    assert np.isfinite(TorusModel(L1=1e-152, K=2).mode_energies()).all()
+
+
 def test_mode_energies_are_the_two_circle_spectra():
     for K in (1, 7, 64):
         model = TorusModel(L1=3.0, L2=7.5, K=K, spin="pa")
