@@ -78,9 +78,9 @@ class BarChain(TermMap):
         return cls._wrap(table, {})
 
     @classmethod
-    def from_word(cls, table, word, coeff=1):
+    def from_word(cls, table, word):
         """Expand a word of FormElements into the monomial basis."""
-        return cls.from_words(table, [(coeff, word)])
+        return cls.from_words(table, [(1, word)])
 
     @classmethod
     def from_words(cls, table, weighted_words):
@@ -493,14 +493,14 @@ def cochain_parity_report(l, words):
     return bad
 
 
-def has_block_parity(mat, half, parity, tol=1e-12):
+def has_block_parity(mat, half, parity):
     """Whether ``mat``, split at row and column ``half``, has the given
     parity: its blocks of the other parity (the off-diagonal ones for 0,
-    the diagonal ones for 1) are below ``tol`` times max(1, the norm of the
+    the diagonal ones for 1) are below 1e-12 times max(1, the norm of the
     rest), in the Frobenius norm."""
     A = np.asarray(mat)
     diag = np.linalg.norm(A[:half, :half]) + np.linalg.norm(A[half:, half:])
     off = np.linalg.norm(A[:half, half:]) + np.linalg.norm(A[half:, :half])
     if parity:
         diag, off = off, diag
-    return off <= tol * max(1.0, diag)
+    return off <= 1e-12 * max(1.0, diag)

@@ -365,9 +365,9 @@ def twisted_convolve(f, g, R, kappa_coeff=None):
                           Af - Mxy @ solved)
 
 
-def solve_kappa_constant(tau=Fraction(1, 2), R=None):
+def solve_kappa_constant(R=None):
     """Derive the kappa normalization from the factorization
-    H_tau(X,Y) = H_tau(X-Y) exp(-1/2 kappa(X,Y)).
+    H_tau(X,Y) = H_tau(X-Y) exp(-1/2 kappa(X,Y)), at tau = 1/2.
 
     Both sides share the norm, prefactor and X-X block, and the X-Y block of
     the right side is -X-X + (c/2) R, so the factorization holds exactly when
@@ -382,7 +382,7 @@ def solve_kappa_constant(tau=Fraction(1, 2), R=None):
         R = CurvatureMatrix(table, 2, FormMatrix(table, [[table.zero(), w],
                                                          [-w, table.zero()]]))
     _require_exact(R, "the kappa derivation")
-    Ht = mehler_kernel(tau, R)
+    Ht = mehler_kernel(Fraction(1, 2), R)
     delta = Ht.xy + Ht.xx
     lam = next((delta[i, j].coefficient(mono) / rc
                 for i in range(R.d) for j in range(R.d)

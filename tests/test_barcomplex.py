@@ -112,7 +112,7 @@ def test_cyclic_two_word_signs():
     n2 = th1.degree() + th2.degree() - 2
     sign = (-1) ** (n1 * (n2 - n1))
     want = BarChain.from_word(t, (th1, th2)) + \
-        BarChain.from_word(t, (th2, th1), coeff=sign)
+        BarChain.from_words(t, [(sign, (th2, th1))])
     assert ch == want
 
 
@@ -189,7 +189,7 @@ def test_one_rotation_agrees_with_the_oracle_on_inexact_chains(rng, share):
 def test_one_rotation_compares_every_part_of_an_exact_coefficient():
     t = simple_table()
     for word in ((t.gen("x"), t.parse("x y")), (t.gen("u"), t.gen("x"))):
-        sym = cyclic_symmetrize(BarChain.from_word(t, word, coeff=QC(1, 2)))
+        sym = cyclic_symmetrize(BarChain.from_words(t, [(QC(1, 2), word)]))
         assert is_cyclic(sym) and len(sym.terms) == 2
         key = next(iter(sym.terms))
         c = sym.terms[key]
@@ -268,7 +268,7 @@ def test_restriction_of_constant_idempotent_chain():
     t = simple_table()
     p = FormMatrix.from_scalars(t, [[1, 0, 0], [0, 1, 0], [0, 0, 0]])
     chain = bismut_chern(p, 5)
-    assert chain == BarChain.from_word(t, (t.sigma(),), coeff=2)
+    assert chain == BarChain.from_words(t, [(2, (t.sigma(),))])
     assert restrict_i(chain) == t.scalar(2)
 
 

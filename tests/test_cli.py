@@ -212,6 +212,13 @@ def test_torus_cli_fails_a_vacuous_report(tmp_path, capsys, theta):
     assert all(row["target"] == [0.0, 0.0] and row["relative"] == 0.0 for row in doc["rows"])
 
 
+def test_torus_cli_names_a_cutoff_too_large_for_a_float(capsys):
+    code, doc = run_cli(capsys, ["torus", "-K", "1" + "0" * 310])
+    assert code == 2
+    assert doc == {"ok": False,
+                   "error": "ValueError: the Fourier cutoff K is too large for a float"}
+
+
 def test_torus_cli_has_no_json_flag(capsys):
     # the report is always JSON; the flag that suppressed a text table is gone
     with pytest.raises(SystemExit):
@@ -439,6 +446,31 @@ def test_zero_denominator_in_a_word_is_a_json_error(tmp_path, capsys):
     assert code == 2
     assert doc == {"ok": False,
                    "error": "ValueError: zero denominator in '1/0'"}
+
+
+def test_a_sign_after_a_star_in_a_word_is_a_json_error(tmp_path, capsys):
+    # read as "2 - sigma u", the word would pass its check at the wrong value
+    path = tmp_path / "case.json"
+    path.write_text(json.dumps({
+        "d": 4,
+        "generators": ["u", "v"],
+        "R": [["0", "u", "0", "0"], ["-u", "0", "0", "0"],
+              ["0", "0", "0", "v"], ["0", "0", "-v", "0"]],
+        "word": ["2 * -sigma u", "sigma v"],
+    }))
+    code, doc = run_cli(capsys, ["localize", str(path)])
+    assert code == 2
+    assert doc == {"ok": False,
+                   "error": "ValueError: sign '-' after '*' in '2 * -sigma u'"}
+
+
+def test_a_sign_after_a_star_in_a_table_is_a_json_error(tmp_path, capsys):
+    # read as "2 - u", the differential would be reported as inhomogeneous
+    path = tmp_path / "table.txt"
+    path.write_text("d 4\nx 1 2*-u\nu 2 0\n")
+    code, doc = run_cli(capsys, ["check-bar", str(path), "--chains", "1"])
+    assert code == 2
+    assert doc == {"ok": False, "error": "ValueError: sign '-' after '*' in '2*-u'"}
 
 
 def test_unknown_generator_in_a_table_is_a_json_error(tmp_path, capsys):

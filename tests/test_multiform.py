@@ -149,6 +149,18 @@ def test_check_dga_degree_bookkeeping():
     assert any("degree" in f for f in report.failures)
 
 
+def test_tables_refuse_what_check_dga_no_longer_checks():
+    # sigma stays closed and every other generator has degree >= 1, because
+    # the table refuses anything else when it is written
+    t = GeneratorTable(4)
+    t.add_generator("x", 1)
+    with pytest.raises(ValueError, match="sigma has no assignable differential"):
+        t.set_differential("sigma", "x")
+    with pytest.raises(ValueError, match="degree >= 1"):
+        t.add_generator("z", 0)
+    assert t.names == ("sigma", "x") and t.differential(0).is_zero()
+
+
 def test_table_mismatch_rejected():
     t1, t2 = simple_table(), simple_table()
     with pytest.raises(TableMismatchError):
@@ -175,23 +187,40 @@ complex_coeffs = st.builds(QC, st.fractions(max_denominator=60),
                            st.fractions(max_denominator=60))
 
 
-@given(seeds, st.lists(complex_coeffs, min_size=1, max_size=4))
-@example(4, [QC(Fraction(1, 2), Fraction(-2, 3)), QC(Fraction(-5, 6), Fraction(7, 4))])
-def test_serialization_roundtrip(seed, coeffs):
-    rng = random.Random(seed)
-    table = random_table(rng)
-    theta = random_form(table, rng)
-    for c in coeffs:
-        theta = theta + random_form(table, rng, n_terms=1).scale(c)
-    assert table.parse(theta.canonical_str()) == theta
-
-
 # exact coefficients that collide and cancel, and floats whose products
 # underflow to 0.0
 exact_or_float = st.one_of(
     st.builds(QC, st.fractions(max_denominator=4), st.fractions(max_denominator=4)),
     st.sampled_from([1e-200, -1e-200, 1e-300, 0.5, -0.5]).map(complex),
     st.floats(-4, 4).map(complex))
+
+
+@given(seeds, st.lists(st.one_of(complex_coeffs, exact_or_float), min_size=1, max_size=4))
+@example(4, [QC(Fraction(1, 2), Fraction(-2, 3)), QC(Fraction(-5, 6), Fraction(7, 4))])
+@example(4, [complex(-0.0, -2.5), complex(1e-300, 0), complex(0.1, -0.0),
+             1e-05j, complex(1e20, -0.25), complex(-0.0, 1.0)])
+def test_serialization_roundtrip(seed, coeffs):
+    # the printed text reads back to the same form, an exact coefficient as
+    # a QC and a float one (printed the Python way, "(0.5+0j)") as a complex
+    rng = random.Random(seed)
+    table = random_table(rng)
+    theta = random_form(table, rng)
+    for c in coeffs:
+        theta = theta + random_form(table, rng, n_terms=1).scale(c)
+    back = table.parse(theta.canonical_str())
+    assert back == theta
+    assert all(type(back.terms[m]) is type(c) for m, c in theta.terms.items())
+
+
+def test_a_table_with_a_decimal_differential_reads_back():
+    t = GeneratorTable.from_text("d 4\nx 1 0.5 * u\nu 2 0\n")
+    doc = t.to_text()
+    assert doc == "d 4\nx 1 (0.5+0j) * u\nu 2 0\n"
+    back = GeneratorTable.from_text(doc)
+    assert back.to_text() == doc
+    (u,) = back.gen("u").terms
+    assert back.differential(1).terms == {u: 0.5} == t.differential(1).terms
+    assert type(back.differential(1).terms[u]) is complex
 basis_terms = st.lists(st.tuples(st.integers(0, 5), exact_or_float), max_size=5)
 
 
@@ -264,11 +293,110 @@ def test_parse_parenthesized_literals():
     assert t.parse("(2)") == t.scalar(2)
     assert t.parse("-(1)") == t.scalar(-1)
     assert t.parse("(1+0i) * w") == t.gen("w")
+    assert t.parse("(-i) w") == t.gen("w").scale(QC(0, -1))
     # a sum in parentheses is not expanded; the error names it
     with pytest.raises(ValueError, match=r"'\(1 \+ w\)' is not a number literal"):
         t.parse("-(1 + w)")
     with pytest.raises(ValueError, match="unbalanced or nested parentheses"):
         t.parse("((1)) w")
+
+
+# form text and the repr of the form it reads as
+PINNED_READINGS = [
+    ("(1/2i)", "<form 1/2i>"),
+    ("1/2i", "<form 1/2i>"),
+    ("-(1)", "<form -1>"),
+    ("2e-1i x", "<form 0.2j * x>"),
+    ("(1e-3+1i) x", "<form (0.001+1j) * x>"),
+    ("x - -u", "<form 1 * x + 1 * u>"),
+    ("3 4 x", "<form 12 * x>"),
+    ("(1)(2) x", "<form 2 * x>"),
+    ("i i", "<form -1>"),
+    ("x^0", "<form 1>"),
+    ("0", "<form 0>"),
+    ("", "<form 0>"),
+    ("  ", "<form 0>"),
+    ("x", "<form 1 * x>"),
+    ("-x", "<form -1 * x>"),
+    ("+ x", "<form 1 * x>"),
+    ("- - x", "<form 1 * x>"),
+    ("x y", "<form 1 * x y>"),
+    ("y x", "<form -1 * x y>"),
+    ("x x", "<form 0>"),
+    ("u^2", "<form 1 * u^2>"),
+    ("u^3", "<form 0>"),
+    ("sigma", "<form 1 * sigma>"),
+    ("sigma^2", "<form 0>"),
+    ("sigma x", "<form 1 * sigma x>"),
+    ("2 * x y + sigma u", "<form 1 * sigma u + 2 * x y>"),
+    ("3/2 * x u + sigma y", "<form 1 * sigma y + 3/2 * x u>"),
+    ("1 * sigma y + 3/2 * x u", "<form 1 * sigma y + 3/2 * x u>"),
+    ("x-u", "<form 1 * x + -1 * u>"),
+    ("1/2 x - u", "<form 1/2 * x + -1 * u>"),
+    ("1e-3 * x - 2.5E+2 u", "<form (0.001+0j) * x + (-250+0j) * u>"),
+    (".5 x", "<form (0.5+0j) * x>"),
+    ("5. u", "<form (5+0j) * u>"),
+    ("1.e2", "<form (100+0j)>"),
+    ("2.5i * u", "<form 2.5j * u>"),
+    ("i x", "<form i * x>"),
+    ("-i * x", "<form -i * x>"),
+    ("(1+2i) * u", "<form (1+2i) * u>"),
+    ("(1-i) x", "<form (1-i) * x>"),
+    ("(1/2-3i) x", "<form (1/2-3i) * x>"),
+    ("(2.5E+2-1e-1i) x", "<form (250-0.1j) * x>"),
+    ("(1 + 2 i) u", "<form (1+2i) * u>"),
+    ("( 1 ) x", "<form 1 * x>"),
+    ("(1 / 2) u", "<form 1/2 * u>"),
+    ("(-2i) y", "<form -2i * y>"),
+    ("(+1) x", "<form 1 * x>"),
+    ("(1/2+0.5i) u", "<form (0.5+0.5j) * u>"),
+    ("x*y", "<form 1 * x y>"),
+    ("x*(2)", "<form 2 * x>"),
+    ("2(3)", "<form 6>"),
+    ("(2)x", "<form 2 * x>"),
+    ("x^2", "<form 0>"),
+    ("u y^1 u^0", "<form 1 * y u>"),
+    ("10 x + 3/4 y", "<form 10 * x + 3/4 * y>"),
+    ("0.1 * 0.2 * 0.3 u", "<form (0.006000000000000001+0j) * u>"),
+    ("x + y - x", "<form 1 * y>"),
+    ("u x y", "<form 1 * x y u>"),
+    ("(1/2-3/4i) * u", "<form (1/2-3/4i) * u>"),
+    ("-1/2i * x", "<form -1/2i * x>"),
+]
+
+
+@pytest.mark.parametrize("text, reading", PINNED_READINGS)
+def test_pinned_readings(text, reading):
+    assert repr(simple_table().parse(text)) == reading
+
+
+def test_a_huge_power_is_read_in_at_most_top_degree_plus_one_products():
+    t = simple_table()
+    assert t.parse("u^1000000000000 x") == t.zero()
+    assert t.parse("u^2") == t.gen("u") * t.gen("u")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("2*-x", "sign '-' after '*' in '2*-x'"),
+    ("2 * - x", "sign '-' after '*' in '2 * - x'"),
+    ("2 * -sigma u", "sign '-' after '*' in '2 * -sigma u'"),
+    ("x *", "'x *' ends in the operator '*'"),
+    ("* x", "'*' without a factor before it in '* x'"),
+    ("x * * y", "'*' without a factor before it in 'x * * y'"),
+    ("x + * y", "'*' without a factor before it in 'x + * y'"),
+    ("x +", "'x +' ends in the operator '+'"),
+    ("+", "'+' ends in the operator '+'"),
+    ("-", "'-' ends in the operator '-'"),
+    ("2x", "'2x' is not a number literal"),
+    ("x^", "'x^' is not a number literal"),
+    ("(1 2) x", "'(1 2)' is not a number literal; a parenthesized sum is not expanded"),
+    ("1e400 x", "'1e400' overflows a float"),
+    ("(1e400+1i) x", "'(1e400+1i)' overflows a float"),
+])
+def test_parse_refuses_text_it_cannot_read(text, message):
+    with pytest.raises(ValueError) as info:
+        simple_table().parse(text)
+    assert str(info.value) == message
 
 
 def test_parse_exponents_in_complex_literals():

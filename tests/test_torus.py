@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from chernloc.clifford import spinor_representation
 from chernloc.torus import (TorusModel, chern_t_torus, chern_target,
-                            convergence_report, heat_supertrace, heat_trace,
-                            poisson_heat_trace, supertrace_constancy)
+                            convergence_report, heat_trace, poisson_heat_trace,
+                            supertrace_constancy)
 
 SPINS = ("pp", "pa", "ap", "aa")
 
@@ -36,6 +37,8 @@ def test_model_validation():
         with pytest.raises(ValueError, match="must be an integer"):
             TorusModel(K=K)
     assert TorusModel(K=np.int64(3)).mode_energies().shape == (2, 7)
+    with pytest.raises(ValueError, match="the Fourier cutoff K is too large for a float"):
+        TorusModel(K=10 ** 310)
 
 
 def test_model_refuses_sides_it_cannot_evaluate():
@@ -127,7 +130,7 @@ def test_rejects_nonpositive_time():
         with pytest.raises(ValueError, match="heat time"):
             heat_trace(model, s)
         with pytest.raises(ValueError, match="heat time"):
-            heat_supertrace(model, s)
+            supertrace_constancy(model, (s,))
     for t in (0.0, -1.0, math.nan, math.inf, 1e200, 1e-200):
         with pytest.raises(ValueError, match="scaling parameter"):
             chern_t_torus(model, t, {(0, 0): 1.0})
@@ -166,7 +169,7 @@ def test_supertrace_vanishes_and_is_constant():
         max_abs, max_slope = supertrace_constancy(model)
         assert max_abs < 1e-10
         assert max_slope < 1e-10
-        assert abs(heat_supertrace(model, 0.3)) < 1e-12
+        assert supertrace_constancy(model, (0.3,)) == (0.0, 0.0)
 
 
 def test_character_of_zero_form():
@@ -234,8 +237,10 @@ def test_report_rows_equal_the_character_at_each_time(model):
 
 @pytest.mark.parametrize("model", IDENTITY_MODELS, ids=model_id)
 def test_supertrace_constancy_equals_the_loop_over_times(model):
+    # Str e^(-s D^2) = tr(grading) * (the heat trace of one spinor component)
     grid = (0.01, 0.05, 0.1, 0.5, 1.0)
-    vals = [heat_supertrace(model, s) for s in grid]
+    tr_grading = complex(np.trace(spinor_representation(2)[1]))
+    vals = [tr_grading * (heat_trace(model, s) / 2) for s in grid]
     slopes = [abs(v2 - v1) / abs(s2 - s1)
               for s1, s2, v1, v2 in zip(grid, grid[1:], vals, vals[1:])]
     assert supertrace_constancy(model, grid) == (max(abs(v) for v in vals),
