@@ -328,26 +328,19 @@ class Cochain:
     n_N = sum |theta_i| - N.
 
     A cochain is matrix-valued exactly when ``dim`` is given: its values
-    act on ``C^dim`` graded as ``C^dim_plus (+) C^(dim - dim_plus)``, and
-    ``dim_plus`` defaults to ``dim // 2``.  Both must be ints (a float, bool
-    or string is refused, not truncated), with 1 <= dim and
-    0 <= dim_plus <= dim.
+    are ``dim x dim`` matrices.  ``dim`` must be an int (a float, bool or
+    string is refused, not truncated), with 1 <= dim.
     """
 
-    __slots__ = ("table", "parity", "dim", "dim_plus", "components")
+    __slots__ = ("table", "parity", "dim", "components")
 
-    def __init__(self, table, parity, components, dim=None, dim_plus=None):
+    def __init__(self, table, parity, components, dim=None):
         self.table = table
         self.parity = parity & 1
-        self.dim_plus = None
         if dim is not None:
             dim = _integer(dim, "'dim'")
             if dim < 1:
                 raise ValueError(f"matrix cochains need a positive dimension, got {dim}")
-            self.dim_plus = (dim // 2 if dim_plus is None
-                             else _integer(dim_plus, "'dim_plus'"))
-            if not 0 <= self.dim_plus <= dim:
-                raise ValueError("dim_plus must lie in [0, dim]")
         self.dim = dim
         self.components = dict(components)
 
@@ -387,31 +380,22 @@ class Cochain:
                 out = out + self._vscale(coeff, v)
         return out
 
-    def __call__(self, arg):
-        if isinstance(arg, BarChain):
-            return self.eval_chain(arg)
-        return self.eval_chain(BarChain.from_word(self.table, tuple(arg)))
-
     # -- constructors -------------------------------------------------------------
     @classmethod
-    def unit(cls, table, dim=None, dim_plus=None):
-        unit = cls(table, 0, {}, dim=dim, dim_plus=dim_plus)
-        value = QC_ONE if unit.dim is None else np.eye(unit.dim, dtype=complex)
-        unit.components[0] = lambda w, v=value: v
-        return unit
+    def unit(cls, table):
+        """The scalar unit: 1 on the empty word."""
+        return cls(table, 0, {0: lambda w: QC_ONE})
 
     @classmethod
-    def from_rules(cls, table, rules, parity, dim=None, dim_plus=None):
-        """Finitely supported cochain: rules map monomial words to values."""
-        cochain = cls(table, parity, {}, dim=dim, dim_plus=dim_plus)
-        zero = cochain.zero_value()
+    def from_rules(cls, table, rules, parity):
+        """Finitely supported scalar cochain: rules map monomial words to
+        values."""
         by_arity = {}
         for word, value in rules.items():
             by_arity.setdefault(len(word), {})[tuple(word)] = value
-        cochain.components.update(
-            (arity, lambda word, _r=table_rules, _z=zero: _r.get(word, _z))
-            for arity, table_rules in by_arity.items())
-        return cochain
+        return cls(table, parity, {
+            arity: lambda word, _r=table_rules: _r.get(word, QC_ZERO)
+            for arity, table_rules in by_arity.items()})
 
 
 def cochain_mul(l1, l2):
@@ -419,7 +403,7 @@ def cochain_mul(l1, l2):
     (-1)^(n_k |l2|) for moving l2 past the first k slots."""
     if l1.table is not l2.table:
         raise ValueError("cochains over different tables")
-    if (l1.dim, l1.dim_plus) != (l2.dim, l2.dim_plus):
+    if l1.dim != l2.dim:
         raise ValueError("cochain value kinds do not match")
     table = l1.table
     arities1 = set(l1.components)
@@ -427,29 +411,26 @@ def cochain_mul(l1, l2):
     out_arities = sorted({a1 + a2 for a1 in arities1 for a2 in arities2})
     parity2 = l2.parity
 
-    def make(n):
-        def fn(word):
-            degs = _prefix_degrees(table, word)
-            total = None
-            for k in range(len(word) + 1):
-                if k not in arities1 or (len(word) - k) not in arities2:
-                    continue
-                v1 = l1.eval_word(word[:k])
-                if l1._viszero(v1):
-                    continue
-                v2 = l2.eval_word(word[k:])
-                if l2._viszero(v2):
-                    continue
-                v = l1._vmul(v1, v2)
-                if parity2 and (degs[k] & 1):
-                    v = l1._vscale(QC(-1), v)
-                total = v if total is None else total + v
-            return total if total is not None else l1.zero_value()
-        return fn
+    def fn(word):
+        degs = _prefix_degrees(table, word)
+        total = None
+        for k in range(len(word) + 1):
+            if k not in arities1 or (len(word) - k) not in arities2:
+                continue
+            v1 = l1.eval_word(word[:k])
+            if l1._viszero(v1):
+                continue
+            v2 = l2.eval_word(word[k:])
+            if l2._viszero(v2):
+                continue
+            v = l1._vmul(v1, v2)
+            if parity2 and (degs[k] & 1):
+                v = l1._vscale(QC(-1), v)
+            total = v if total is None else total + v
+        return total if total is not None else l1.zero_value()
 
-    comp = {n: make(n) for n in out_arities}
-    return Cochain(table, l1.parity ^ l2.parity, comp, dim=l1.dim,
-                   dim_plus=l1.dim_plus)
+    return Cochain(table, l1.parity ^ l2.parity, dict.fromkeys(out_arities, fn),
+                   dim=l1.dim)
 
 
 def beta(l):
@@ -460,37 +441,12 @@ def beta(l):
     out_arities = sorted({a for a0 in arities for a in (a0, a0 + 1) if a >= 0})
     sign = -1 if l.parity == 0 else 1   # -(-1)^{|l|}
 
-    def make(n):
-        def fn(word):
-            chain = b(BarChain(table, {word: QC_ONE}))
-            v = l.eval_chain(chain)
-            return l._vscale(QC(sign), v)
-        return fn
+    def fn(word):
+        chain = b(BarChain(table, {word: QC_ONE}))
+        v = l.eval_chain(chain)
+        return l._vscale(QC(sign), v)
 
-    comp = {n: make(n) for n in out_arities}
-    return Cochain(table, l.parity ^ 1, comp, dim=l.dim, dim_plus=l.dim_plus)
-
-
-def cochain_parity_report(l, words):
-    """Check value parity against the shifted word parity on sample words.
-
-    For matrix cochains the value must populate only the blocks of parity
-    (|l| + n_N) mod 2 with respect to the grading split at ``l.dim_plus``.
-    """
-    bad = []
-    for word in words:
-        chain = BarChain.from_word(l.table, word)
-        for w, _ in chain.terms.items():
-            n_par = _prefix_degrees(l.table, w)[len(w)] & 1
-            v = l.eval_word(w)
-            want = n_par ^ l.parity
-            if l.dim is None:
-                if not iszero(v) and want:
-                    bad.append((w, "odd value on scalar cochain"))
-            elif not has_block_parity(v, l.dim_plus, want):
-                bad.append((w, "odd slot carries even blocks" if want
-                            else "even slot carries odd blocks"))
-    return bad
+    return Cochain(table, l.parity ^ 1, dict.fromkeys(out_arities, fn), dim=l.dim)
 
 
 def has_block_parity(mat, half, parity):

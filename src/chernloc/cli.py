@@ -29,15 +29,17 @@ import numpy as np
 from . import barcomplex, fredholm, localize, mehler, sampling, torus
 from .formmatrix import FormMatrix
 from .multiform import GeneratorTable, check_dga
-from .scalars import QC
+from .scalars import QC, is_exact
+
+# the acceptance suite's tolerances: |lhs - rhs| of the heat-supertrace
+# comparison, and the relative error of each torus row
+_MCKEAN_SINGER_TOL = 1e-8
+_TORUS_TOL = 1e-4
 
 
 def _load_table(spec):
-    if isinstance(spec, str):
-        with open(spec) as fh:
-            return GeneratorTable.from_text(fh.read())
     if not isinstance(spec, dict):
-        raise ValueError(f"'table' must be a file name or a JSON object, got {spec!r}")
+        raise ValueError(f"'table' must be a JSON object, got {spec!r}")
     entries = _json_list(spec, "generators", None)
     for entry in entries:
         if not isinstance(entry, list) or len(entry) != 3:
@@ -84,6 +86,13 @@ def cmd_check_bar(args):
         raise ValueError(f"--chains must be at least 1, got {args.chains}")
     with open(args.table) as fh:
         table = GeneratorTable.from_text(fh.read())
+    # the checks are exact equalities, which float rounding would fail
+    for gid, name in enumerate(table.names[1:], 1):
+        for coeff in table.differential(gid).terms.values():
+            if not is_exact(coeff):
+                raise ValueError(f"the differential of {name!r} has the inexact "
+                                 f"coefficient {coeff}; check-bar needs exact "
+                                 "coefficients (write 1/10, not 0.1)")
     dga = check_dga(table)
     rng = random.Random(args.seed)
     failures = []
@@ -143,7 +152,7 @@ def cmd_mckean_singer(args):
     if p is None:
         raise ValueError("model document needs an idempotent 'p'")
     rep = fredholm.mckean_singer_check(model, p, t=doc.get("t", 1.0))
-    ok = rep.difference < args.tol
+    ok = rep.difference < _MCKEAN_SINGER_TOL
     out = rep.as_dict()
     out["ok"] = ok
     out["relations"] = model.relation_report()
@@ -286,7 +295,7 @@ def cmd_torus(args):
     rep = torus.convergence_report(model, theta, grid)
     max_abs, max_slope = torus.supertrace_constancy(model)
     vacuous = all(r.value == 0 and r.target == 0 for r in rep.rows)
-    ok = not vacuous and all(r.relative < args.tol for r in rep.rows) and max_abs < 1e-10
+    ok = not vacuous and all(r.relative < _TORUS_TOL for r in rep.rows) and max_abs < 1e-10
     out = rep.as_dict()
     out["supertrace_max"] = max_abs
     out["supertrace_slope"] = max_slope
@@ -315,7 +324,6 @@ def build_parser():
 
     pm = sub.add_parser("mckean-singer", help="idempotent heat-trace comparison")
     pm.add_argument("model", help="JSON model document")
-    pm.add_argument("--tol", type=float, default=1e-8)
     pm.set_defaults(fn=cmd_mckean_singer)
 
     pc = sub.add_parser("bismut-chern", help="idempotent cyclic chain")
@@ -339,7 +347,6 @@ def build_parser():
     pt.add_argument("--t-grid", default="0.2,0.1,0.05")
     pt.add_argument("--beta", type=float, default=1.0)
     pt.add_argument("--theta", help="JSON Fourier data {\"q1,q2\": coeff}")
-    pt.add_argument("--tol", type=float, default=1e-4)
     pt.set_defaults(fn=cmd_torus)
     return parser
 

@@ -82,14 +82,14 @@ class CliffordElement(TermMap):
         return cls(dim, {1 << (i - 1): QC_ONE})
 
     @classmethod
-    def from_subset(cls, dim, indices, coeff=1):
+    def from_subset(cls, dim, indices):
         mask = 0
         for i in indices:
             bit = 1 << (i - 1)
             if mask & bit:
                 raise ValueError("repeated index in blade")
             mask |= bit
-        return cls(dim, {mask: coeff})
+        return cls(dim, {mask: QC_ONE})
 
     def order(self):
         """Clifford order: the largest populated subset size (-1 if zero)."""
@@ -172,7 +172,7 @@ def berezin_str(a):
     return two_over_i_pow(a.dim) * a.terms.get(top, QC_ZERO)
 
 
-# -- matrix representation (cross-check oracle) ----------------------------------------
+# -- spinor representation (the torus model's gammas) -----------------------------------
 
 
 @lru_cache(maxsize=None)
@@ -195,13 +195,3 @@ def spinor_representation(d):
     grading = np.round(grading.real, 12) + 1j * np.round(grading.imag, 12)
     return tuple(gammas), grading
 
-
-def represent(a):
-    """Matrix image of a Clifford element."""
-    gammas, _ = spinor_representation(a.dim)
-    n = gammas[0].shape[0]
-    out = np.zeros((n, n), dtype=complex)
-    for mask, coeff in a.terms.items():
-        blade = (gammas[i] for i in range(a.dim) if mask >> i & 1)
-        out += complex(coeff) * reduce(np.matmul, blade, np.eye(n, dtype=complex))
-    return out

@@ -42,9 +42,9 @@ class FormMatrix:
         return cls(table, [[z] * m for _ in range(n)])
 
     @classmethod
-    def identity(cls, table, n, scale=1):
+    def identity(cls, table, n):
         z = table.zero()
-        s = table.scalar(scale)
+        s = table.one()
         return cls(table, [[s if i == j else z for j in range(n)] for i in range(n)])
 
     @classmethod

@@ -13,8 +13,7 @@ monomials of a form algebra.  On top of this the module provides:
   c_t(alpha(theta1') theta2') - c_(-t)(theta1') c_t(theta2');
 * the rescaled Chern character as a perturbation series over simplices,
   summed in one block upper-triangular matrix exponential (the empty word
-  included); :func:`simplex_str_quad`, nested Gauss-Legendre quadrature
-  over one splitting, is kept for the tests' per-splitting oracle;
+  included);
 * idempotent calculus: the cyclic chain built from R = (2p-1)dp + sigma(dp)^2
   and the heat-supertrace comparison for D_p = D + c((2p-1)dp), whose left
   side sums the character of the whole chain in one Duhamel integral
@@ -224,8 +223,7 @@ def connection_cochain(model):
         prime, _ = FormElement(table, {mono: QC_ONE}).split_sigma()
         return model.c(prime)
 
-    return Cochain(table, 1, {0: arity0, 1: arity1}, dim=model.dim,
-                   dim_plus=model.dim_plus)
+    return Cochain(table, 1, {0: arity0, 1: arity1}, dim=model.dim)
 
 
 def curvature_cochain(model):
@@ -248,8 +246,7 @@ def curvature_cochain(model):
         return _scaled_f2(model, 1.0, _pair_forms(slot1.split_sigma()[0],
                                                   slot2.split_sigma()[0]))
 
-    return Cochain(table, 0, {0: arity0, 1: arity1, 2: arity2},
-                   dim=model.dim, dim_plus=model.dim_plus)
+    return Cochain(table, 0, {0: arity0, 1: arity1, 2: arity2}, dim=model.dim)
 
 
 # -- simplex integrals ---------------------------------------------------------------
@@ -273,49 +270,6 @@ def simplex_matrix_integral(A, Bs, Bs2=()):
     for p, B in enumerate(Bs2):
         big[p * n:(p + 1) * n, (p + 2) * n:(p + 3) * n] = B
     return _expm(big)[0:n, k * n:(k + 1) * n]
-
-
-def simplex_str_quad(A, Bs, weight, order=32):
-    """Test oracle for one splitting: tr(weight int_simplex ...) as in
-    :func:`simplex_matrix_integral`, by iterated Gauss-Legendre quadrature
-    over the simplex in the eigenbasis of A.  The outer levels
-    loop over nodes; the innermost level runs over all nodes at once."""
-    k = len(Bs)
-    if k == 0:
-        return complex(np.trace(weight @ _expm(-A)))
-    if k > 4:
-        raise ValueError("quadrature oracle is limited to k <= 4")
-    herm = np.allclose(A, A.conj().T, atol=1e-12)
-    if herm:
-        lam, V = np.linalg.eigh(A)
-        Vi = V.conj().T
-    else:
-        lam, V = np.linalg.eig(A)
-        Vi = np.linalg.inv(V)
-    W = Vi @ weight @ V
-    tilde = [Vi @ B @ V for B in Bs]
-    xs, ws = np.polynomial.legendre.leggauss(order)
-
-    def integrate(lo, depth, P):
-        # P = W e^(-s_0 lam) B~_1 ... e^(-s_(depth-2) lam) B~_(depth-1),
-        # with the last time node at lo
-        half = (1.0 - lo) / 2.0
-        if half <= 0:
-            return 0j
-        ts = lo + half * (xs + 1.0)
-        if depth == k:
-            # tr(P e^(-(t - lo) lam) B~_k e^(-(1 - t) lam)) for every node t
-            C = tilde[-1] * P.T
-            E1 = np.exp(-np.outer(ts - lo, lam))
-            E2 = np.exp(-np.outer(1.0 - ts, lam))
-            return np.einsum("j,ja,ab,jb->", ws, E1, C, E2) * half
-        total = 0j
-        for t, w in zip(ts, ws):
-            step = (P * np.exp(-(t - lo) * lam)) @ tilde[depth - 1]
-            total += w * integrate(t, depth + 1, step)
-        return total * half
-
-    return complex(integrate(0.0, 1, W))
 
 
 # -- the Chern character ----------------------------------------------------------------
@@ -531,15 +485,16 @@ def bismut_chern(p, n_max):
         for pair in _trace_words(word, coeff)))
 
 
-def random_idempotent(table, rng, n=2, scale=Fraction(1, 2), rank=1):
-    """g p0 g^(-1) for a constant projection p0 and unipotent g = exp(nu).
+def random_idempotent(table, rng, n=2, scale=Fraction(1, 2)):
+    """g p0 g^(-1) for the constant rank-one projection p0 = e_11 and
+    unipotent g = exp(nu).
 
     nu has dense even-form entries so that dp and (dp)^2 are generically
     nonzero (when the table has non-closed even generators and enough room
     above degree four).
     """
     p0 = FormMatrix.from_scalars(
-        table, [[1 if (i == j and i < rank) else 0 for j in range(n)]
+        table, [[1 if i == j == 0 else 0 for j in range(n)]
                 for i in range(n)])
     gens = [g for g in range(1, len(table.names))
             if table.degree_of(g) % 2 == 0]

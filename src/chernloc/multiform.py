@@ -83,7 +83,7 @@ class GeneratorTable:
     a change to the table invalidates those too.
     """
 
-    def __init__(self, top_degree, generators=()):
+    def __init__(self, top_degree):
         top_degree = _integer(top_degree, "top degree")
         if top_degree <= 0 or top_degree % 2:
             raise ValueError("top degree must be a positive even integer")
@@ -97,8 +97,6 @@ class GeneratorTable:
         self._d_memo = {}
         self._d_T_memo = {}
         self.generation = 0
-        for name, deg in generators:
-            self.add_generator(name, deg)
 
     def _clear_memos(self):
         self._product_memo.clear()
@@ -112,6 +110,9 @@ class GeneratorTable:
             raise ValueError(f"generator {name!r} already defined")
         if not _re.fullmatch(r"[A-Za-z_][A-Za-z_0-9]*", name):
             raise ValueError(f"bad generator name {name!r}")
+        if name == "i":
+            # form text reads a bare i as the imaginary unit
+            raise ValueError("generator name 'i' is the imaginary unit")
         degree = _integer(degree, f"degree of {name!r}")
         if degree < 1:
             raise ValueError("non-sigma generators must have degree >= 1")
@@ -281,9 +282,16 @@ class GeneratorTable:
         is ``d <top-degree>``; each following line is
         ``<name> <degree> <differential-expression-or-0>``.
         """
+        def integer(text, what, number):
+            try:
+                return int(text)
+            except ValueError:
+                raise ValueError(f"line {number}: {what} must be an integer, "
+                                 f"got {text!r}") from None
+
         top = None
         entries = []
-        for raw in document.splitlines():
+        for number, raw in enumerate(document.splitlines(), 1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
@@ -291,11 +299,12 @@ class GeneratorTable:
             if top is None:
                 if parts[0] != "d" or len(parts) != 2:
                     raise ValueError("first directive must be 'd <top-degree>'")
-                top = int(parts[1])
+                top = integer(parts[1], "top degree", number)
                 continue
             if len(parts) < 2:
                 raise ValueError(f"bad generator line: {raw!r}")
-            name, deg = parts[0], int(parts[1])
+            name = parts[0]
+            deg = integer(parts[1], f"degree of {name!r}", number)
             diff = parts[2] if len(parts) == 3 else "0"
             entries.append((name, deg, diff))
         if top is None:

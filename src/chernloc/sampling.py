@@ -25,9 +25,9 @@ def random_coeff(rng, imaginary=True):
     return c if c else QC(1)
 
 
-def random_table(rng, max_generators=4, top_degree=None):
-    top = top_degree or rng.choice([2, 4, 4, 6])
-    n_gens = rng.randint(2, max_generators)
+def random_table(rng):
+    top = rng.choice([2, 4, 4, 6])
+    n_gens = rng.randint(2, 4)
     table = GeneratorTable(top)
     gens = []
     for i in range(n_gens):
@@ -68,9 +68,8 @@ def _monomials_of_degree(table, gens, degree):
     return out
 
 
-def random_form(table, rng, n_terms=3, allow_sigma=True, max_degree=None):
+def random_form(table, rng, n_terms=3, allow_sigma=True):
     names = [n for n in table.names if n != "sigma"]
-    top = max_degree if max_degree is not None else table.top_degree
     out = table.zero()
     for _ in range(n_terms):
         term = table.one().scale(random_coeff(rng))
@@ -84,25 +83,25 @@ def random_form(table, rng, n_terms=3, allow_sigma=True, max_degree=None):
         if allow_sigma and rng.random() < 0.4:
             term = table.sigma() * term
         deg = max((table.mono_nonsigma_degree(m) for m in term.terms), default=0)
-        if deg > top:
+        if deg > table.top_degree:
             continue
         out += term
     return out
 
 
-def random_homogeneous_form(table, rng, n_terms=3, allow_sigma=True):
-    form = random_form(table, rng, n_terms=n_terms, allow_sigma=allow_sigma)
+def random_homogeneous_form(table, rng):
+    form = random_form(table, rng)
     parts = form.homogeneous_parts()
     if not parts:
         return table.one()
     return parts[rng.choice(list(parts))]
 
 
-def random_word(table, rng, max_len=3, allow_sigma=True):
+def random_word(table, rng, max_len=3):
     n = rng.randint(0, max_len)
     word = []
     for _ in range(n):
-        f = random_form(table, rng, n_terms=2, allow_sigma=allow_sigma)
+        f = random_form(table, rng, n_terms=2)
         if f.is_zero():
             f = table.one()
         word.append(f)

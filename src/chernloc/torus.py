@@ -88,8 +88,9 @@ def heat_trace(model, s):
     return 2.0 * _gaussian_sums(model, [s])[0]
 
 
-def poisson_heat_trace(model, s, q_max=12):
-    """Poisson-summation evaluation of the full (untruncated) heat trace."""
+def poisson_heat_trace(model, s):
+    """Poisson-summation evaluation of the full (untruncated) heat trace,
+    from the images |q| <= 12 of each circle."""
     if not (s > 0 and math.isfinite(s)):
         raise ValueError(f"heat time must be finite and positive, got {s!r}")
     total = 2.0
@@ -97,7 +98,7 @@ def poisson_heat_trace(model, s, q_max=12):
         delta = _SPIN_OFFSETS[letter]
         base = L / (2.0 * math.sqrt(math.pi * s))
         acc = 1.0
-        for q in range(1, q_max + 1):
+        for q in range(1, 13):
             acc += 2.0 * math.cos(2 * math.pi * q * delta) * \
                 math.exp(-(q * L) ** 2 / (4 * s))
         total *= base * acc

@@ -79,7 +79,7 @@ def _model_doc():
 def test_mckean_singer_cli(tmp_path, capsys):
     path = tmp_path / "model.json"
     path.write_text(json.dumps(_model_doc()))
-    code, doc = run_cli(capsys, ["mckean-singer", str(path), "--tol", "1e-8"])
+    code, doc = run_cli(capsys, ["mckean-singer", str(path)])
     assert code == 0
     assert doc["ok"]
     assert doc["difference"] < 1e-8
@@ -89,6 +89,17 @@ def test_mckean_singer_cli(tmp_path, capsys):
     assert set(doc) == {"lhs", "rhs_heat_sq", "difference", "ok", "relations"}
     with pytest.raises(SystemExit):
         main(["mckean-singer", str(path), "--n-max", "5"])
+
+
+@pytest.mark.parametrize("argv", [["mckean-singer", "model.json", "--tol", "1e-2"],
+                                  ["torus", "--tol", "1"]])
+def test_tolerances_are_not_options(capsys, argv):
+    # both checks use the acceptance suite's tolerances, which the command
+    # line cannot loosen
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    assert capsys.readouterr().out == ""
 
 
 @pytest.mark.parametrize("t", [0, -0.5, float("nan"), float("inf"), "0.5"])
@@ -479,6 +490,23 @@ def test_unknown_generator_in_a_table_is_a_json_error(tmp_path, capsys):
     code, doc = run_cli(capsys, ["check-bar", str(path), "--chains", "1"])
     assert code == 2
     assert doc == {"ok": False, "error": "ValueError: unknown generator 'u'"}
+
+
+@pytest.mark.parametrize("text, error", [
+    # float coefficients would fail the exact checks by rounding alone
+    ("d 4\nx 1 0.1 * u\nu 2 0\ny 1 -0.3 * u\nz 1 1.7 * u\n",
+     "ValueError: the differential of 'x' has the inexact coefficient (0.1+0j); "
+     "check-bar needs exact coefficients (write 1/10, not 0.1)"),
+    ("d 4\nx 1.5 u\nu 2 0\n",
+     "ValueError: line 2: degree of 'x' must be an integer, got '1.5'"),
+    ("d 4\ni 2 0\nx 1 i\n", "ValueError: generator name 'i' is the imaginary unit"),
+])
+def test_check_bar_names_a_table_it_cannot_check(tmp_path, capsys, text, error):
+    path = tmp_path / "table.txt"
+    path.write_text(text)
+    code, doc = run_cli(capsys, ["check-bar", str(path), "--chains", "400", "--seed", "3"])
+    assert code == 2
+    assert doc == {"ok": False, "error": error}
 
 
 

@@ -14,11 +14,11 @@ from chernloc.fredholm import (FredholmModel, bismut_chern, bismut_words,
                                chern_t, connection_cochain,
                                curvature_cochain, curvature_word_matrix,
                                mckean_singer_check, random_idempotent,
-                               random_model, simplex_matrix_integral,
-                               simplex_str_quad)
+                               random_model, simplex_matrix_integral)
 from chernloc.multiform import FormElement, GeneratorTable
 from chernloc.sampling import random_form, random_word
 from chernloc.scalars import QC, TableMismatchError
+from oracles import simplex_str_quad
 
 
 def base_table():

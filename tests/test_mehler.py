@@ -473,7 +473,7 @@ def test_twisted_convolve_rejects_a_non_positive_y_block(curvature_d2):
     # Myy = Af + Ag = -3 I + 2 I is negative definite
     table, R = curvature_d2
     f = GaussianKernel(table, 2, QC(1), 0, table.one(),
-                       FormMatrix.identity(table, 2, -3))
+                       FormMatrix.identity(table, 2).scale(-3))
     g = heat_element(Fraction(1, 4), R)
     with pytest.raises(ValueError):
         twisted_convolve(f, g, R)

@@ -181,6 +181,27 @@ def test_non_integer_generator_degree_is_rejected_by_value(degree):
     assert table.names == ("sigma",)
 
 
+@pytest.mark.parametrize("text, message", [
+    ("d 4\nx 1.5 u\nu 2 0\n", "line 2: degree of 'x' must be an integer, got '1.5'"),
+    ("# top degree\nd four\nx 1 0\n", "line 2: top degree must be an integer, got 'four'"),
+])
+def test_table_text_names_the_line_of_a_degree_that_is_not_an_integer(text, message):
+    with pytest.raises(ValueError) as info:
+        GeneratorTable.from_text(text)
+    assert str(info.value) == message
+
+
+def test_a_generator_named_i_is_refused():
+    # form text reads a bare i as the imaginary unit: with a generator i,
+    # i times x would print as "i * x" and read back as the product i x
+    table = GeneratorTable(4)
+    for make in (lambda: table.add_generator("i", 1),
+                 lambda: GeneratorTable.from_text("d 4\nx 1 0\ni 1 0\n")):
+        with pytest.raises(ValueError, match="generator name 'i' is the imaginary unit"):
+            make()
+    assert table.names == ("sigma",)
+
+
 seeds = st.integers(0, 2**32)
 # complex coefficients whose parts have different denominators
 complex_coeffs = st.builds(QC, st.fractions(max_denominator=60),
