@@ -124,6 +124,34 @@ class FormMatrix:
             out_rows.append(out_row)
         return FormMatrix(table, out_rows)
 
+    def symmetric_product(self, other):
+        """``self @ other`` for a product known to be symmetric: the entries
+        (i, j) with i <= j are formed as in :meth:`__matmul__`, and each is
+        also stored at (j, i).
+
+        That holds when the entries are even forms (which commute) and the
+        product is A^T A, or M M with M antisymmetric; it is not checked.
+        """
+        self._compat(other, mul=True)
+        if self.shape[0] != other.shape[1]:
+            raise ValueError("a symmetric product must be square")
+        table = self.table
+        cols = [{k: e.terms for k, e in enumerate(col) if e.terms}
+                for col in zip(*other.rows)]
+        n = len(cols)
+        out_rows = [[None] * n for _ in range(n)]
+        for i, row in enumerate(self.rows):
+            pairs = [(k, e.terms) for k, e in enumerate(row) if e.terms]
+            for j in range(i, n):
+                col = cols[j]
+                out = {}
+                for k, ta in pairs:
+                    tb = col.get(k)
+                    if tb is not None:
+                        _mul_into(out, table, ta, tb)
+                out_rows[i][j] = out_rows[j][i] = FormElement._wrap(table, out)
+        return FormMatrix(table, out_rows)
+
     def transpose(self):
         n, m = self.shape
         return FormMatrix(self.table,

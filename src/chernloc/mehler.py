@@ -5,16 +5,19 @@ The model fiber is R^d with an antisymmetric matrix R of even nilpotent
 z csch z, exp, log(sinh(z)/z)) are coefficient lists summed over one list
 of powers [I, M^2, M^4, ...], which ends because the form algebra is
 nilpotent; they are even in M, and the odd part of exp(z) z csch(z) costs
-one more product with M.  Each kernel does only the matrix work its reader
-reads: the boundary supertrace reads the norm and prefactor alone, and
-only the two-point kernel builds the X-Y block.  A Gaussian kernel holds
-its quadratic form as d x d blocks: X-X, and for a two-point kernel X-Y,
-its Y-Y block being its X-X block.  Determinants and solves of Gaussian
-data come from one Gauss-Jordan elimination over the commutative local
-ring of even forms: it returns the determinant and M^-1 B for the
-right-hand side B its caller reads (none when only the determinant is
-needed), and its pivots also test that the numeric part is positive
-definite (Sylvester's criterion).
+one more product with M.  M^2 (M antisymmetric) and the heat equation's
+L^T L are symmetric products of even forms, so each is formed on its
+triangle i <= j and mirrored (:meth:`FormMatrix.symmetric_product`).
+Each kernel does only the matrix work its reader reads: the boundary
+supertrace reads the norm and prefactor alone, and only the two-point
+kernel builds the X-Y block.  A Gaussian kernel holds its quadratic form
+as d x d blocks: X-X, and for a two-point kernel X-Y, its Y-Y block being
+its X-X block.  Determinants and solves of Gaussian data come from one
+Gauss-Jordan elimination over the commutative local ring of even forms:
+it returns the determinant and M^-1 B for the right-hand side B its
+caller reads (none when only the determinant is needed, and then it
+updates only the rows below each pivot), and its pivots also test that
+the numeric part is positive definite (Sylvester's criterion).
 
 Main objects:
 
@@ -150,7 +153,7 @@ def a_hat(R):
     is a 2-form are its degrees all divisible by four.
     """
     M = R.mat.scale(Fraction(1, 2))
-    powers = mat_powers(M @ M)
+    powers = mat_powers(M.symmetric_product(M))
     log_a_hat = R.table.zero()
     for power, c in zip(powers[1:], _log_sinhc_coeffs(2 * len(powers))[2::2]):
         log_a_hat += power.trace().scale(c * Fraction(-1, 2))
@@ -167,7 +170,10 @@ def _eliminate(mat, rhs):
     when only the determinant is read.  Gauss-Jordan on [mat | rhs] without
     row exchanges over the commutative local ring of even forms; each pivot
     is inverted with :func:`inverse_unit`, and a step touches only the
-    columns right of its pivot, the only ones read later.  The constant
+    columns right of its pivot, the only ones read later.  With no columns
+    in ``rhs`` a step updates only the rows below its pivot: the rows above
+    feed no later pivot, so the pivots, and the determinant, are those of
+    the full elimination, which keeps them only for the solve.  The constant
     terms of the pivots are ratios of leading principal minors of the
     numeric part, so requiring each to be real and positive is Sylvester's
     criterion: a Gaussian form whose numeric part is not positive definite
@@ -178,6 +184,7 @@ def _eliminate(mat, rhs):
     if rhs.shape[0] != n:
         raise ValueError("right-hand side must have as many rows as the matrix")
     rows = [list(a) + list(b) for a, b in zip(mat.rows, rhs.rows)]
+    solve = rhs.shape[1] > 0
     det = mat.table.one()
     for col in range(n):
         pivot = rows[col][col]
@@ -194,7 +201,7 @@ def _eliminate(mat, rhs):
         inv = inverse_unit(pivot)
         right = [inv * x for x in rows[col][col + 1:]]
         rows[col][col + 1:] = right
-        for r in range(n):
+        for r in range(0 if solve else col + 1, n):
             f = rows[r][col]
             if r != col and not f.is_zero():
                 rows[r][col + 1:] = [x - f * y for x, y in zip(rows[r][col + 1:], right)]
@@ -296,7 +303,7 @@ def _kernel_parts(tau, R):
             raise ValueError("time parameter must be positive")
     d = R.d
     M = R.mat.scale(tau * QC(Fraction(1, 2)))
-    even = mat_powers(M @ M)
+    even = mat_powers(M.symmetric_product(M))
     det, _ = _eliminate(power_sum(even, _sinhc_coeffs(2 * len(even))[::2]),
                         FormMatrix.zero(R.table, d, 0))
     scalar, prefactor = _det_invsqrt(det)
@@ -474,7 +481,7 @@ def heat_equation_residual(R):
     constant = (P.scale(H.norm.derivative() / H.norm) + _tau_derivative_form(P)
                 + P * xx.trace())
     quad = (Q.map_entries(_tau_derivative_form).scale(Fraction(-1, 2))
-            - L.transpose() @ L).scale_form(P)
+            - L.transpose().symmetric_product(L)).scale_form(P)
     rows = [[constant] + [zero] * (2 * d)]
     rows += [[zero] + list(row) for row in quad.rows]
     return FormMatrix(table, rows)

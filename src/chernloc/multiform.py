@@ -35,6 +35,8 @@ from .scalars import (QC, QC_I, QC_MINUS_ONE, QC_ONE, QC_ZERO, TableMismatchErro
 
 SIGMA = "sigma"
 SIGMA_ID = 0
+# a degree in a table document: ASCII digits with an optional sign
+_DECIMAL = _re.compile(r"[+-]?[0-9]+")
 
 
 def _integer(value, what):
@@ -283,11 +285,11 @@ class GeneratorTable:
         ``<name> <degree> <differential-expression-or-0>``.
         """
         def integer(text, what, number):
-            try:
-                return int(text)
-            except ValueError:
+            # int() alone would also read "1_0" and non-ASCII digits
+            if not _DECIMAL.fullmatch(text):
                 raise ValueError(f"line {number}: {what} must be an integer, "
-                                 f"got {text!r}") from None
+                                 f"got {text!r}")
+            return int(text)
 
         top = None
         entries = []
@@ -566,7 +568,8 @@ _SPACED = _NUMBER.replace("/", r"\s*/\s*")
 # a number or a name ends where a space, an operator or a parenthesis begins
 _END = r"(?=[\s*()+-]|$)"
 # one token of form text; a parenthesized literal is a, bi, i or a+bi, with
-# its sign, and an unreadable token falls through to ``bad``
+# its sign, and an unreadable token falls through to ``bad``; ASCII only,
+# since \d and \s would also match other scripts' digits and spaces
 _TOKEN = _re.compile(rf"""\s*(?:
     (?P<op>[-+*])
   | \(\s*(?P<lead>[+-]?)\s*(?:(?P<a>{_SPACED})\s*
@@ -575,7 +578,7 @@ _TOKEN = _re.compile(rf"""\s*(?:
   | (?P<number>{_NUMBER})(?P<imag>[ij])?{_END}
   | (?P<name>[A-Za-z_][A-Za-z_0-9]*)(?:\^(?P<power>\d+))?{_END}
   | (?P<bad>\([^()]*\)|[()]|[^\s*()+-]+)
-)""", _re.VERBOSE)
+)""", _re.VERBOSE | _re.ASCII)
 
 
 def _literal(token, lead, a, mid, b, unit):

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from chernloc.formmatrix import (FormMatrix, det_leibniz, mat_exp_nilpotent,
                                  mat_powers)
@@ -105,3 +107,40 @@ def test_powers_reject_a_constant_term_by_entry(entry, i, j):
         mat_exp_nilpotent(mat)
     with pytest.raises(ValueError, match=r"entry \(0, 0\)"):
         mat_exp_nilpotent(FormMatrix.identity(t, 2))
+
+
+def _random_even_form(t, rng):
+    """A sum of even monomials (degrees 0, 2 and 4) with rational
+    coefficients, each present with probability one half."""
+    u, v = t.gen("u"), t.gen("v")
+    out = t.zero()
+    for mono in (t.one(), u, v, u * v, u * u):
+        if rng.random() < 0.5:
+            out = out + mono.scale(Fraction(rng.randint(-3, 3), rng.choice([1, 2, 3])))
+    return out
+
+
+@given(st.randoms(use_true_random=False), st.integers(1, 5), st.integers(1, 4))
+def test_symmetric_product_is_the_full_product(rng, n, m):
+    # M M for M antisymmetric and A^T A, over even forms, formed from the
+    # triangle i <= j, against the full product
+    t = table4()
+    rows = [[t.zero()] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            rows[i][j] = _random_even_form(t, rng)
+            rows[j][i] = -rows[i][j]
+    M = FormMatrix(t, rows)
+    assert M.is_antisymmetric()
+    assert M.symmetric_product(M) == M @ M
+    A = FormMatrix(t, [[_random_even_form(t, rng) for _ in range(n)] for _ in range(m)])
+    assert A.transpose().symmetric_product(A) == A.transpose() @ A
+
+
+def test_symmetric_product_needs_a_square_result():
+    t = table4()
+    A = FormMatrix.parse(t, [["u", "v", "0"], ["0", "u", "v"]])
+    with pytest.raises(ValueError, match="must be square"):
+        A.symmetric_product(FormMatrix.parse(t, [["u"], ["v"], ["0"]]))
+    with pytest.raises(ValueError, match="shape mismatch"):
+        A.symmetric_product(A)

@@ -368,6 +368,49 @@ def test_heat_equation_residual_is_a_symmetric_quadratic_form(d, monkeypatch):
     assert wrong == wrong.transpose()
 
 
+def _checked_symmetric_products(monkeypatch):
+    """Make every ``FormMatrix.symmetric_product`` also form the full
+    product and require the two to be equal; the returned list collects the
+    shape of each product checked."""
+    seen = []
+    product = FormMatrix.symmetric_product
+
+    def checked(a, b):
+        out = product(a, b)
+        assert out == a @ b
+        seen.append(out.shape)
+        return out
+
+    monkeypatch.setattr(FormMatrix, "symmetric_product", checked)
+    return seen
+
+
+@pytest.mark.parametrize("d", [2, 4, 6])
+def test_symmetric_products_equal_the_full_products(d, monkeypatch):
+    # the residual's L^T L is symmetric by construction once only its
+    # triangle is formed, so it is checked here against the full product,
+    # on the kernel for R and on the kernel for 2R of the test above
+    import chernloc.mehler as mh
+    R = _curvature(d)
+    doubled = CurvatureMatrix(R.table, d, R.mat.scale(2))
+    seen = _checked_symmetric_products(monkeypatch)
+    assert mh.heat_equation_residual(R).is_zero()
+    kernel = mh.mehler_kernel
+    monkeypatch.setattr(mh, "mehler_kernel", lambda tau, _R: kernel(tau, doubled))
+    assert not mh.heat_equation_residual(R).is_zero()
+    assert seen.count((2 * d, 2 * d)) == 2
+    monkeypatch.setattr(mh, "mehler_kernel", kernel)
+    # M = tau R/2 (and R/2 for A-hat) with exact and with float coefficients
+    seen.clear()
+    for RR in (R, CurvatureMatrix(R.table, d, R.mat.scale(0.37))):
+        for tau in (Fraction(1, 4), 1):
+            mh.heat_prefactor(tau, RR)
+            mh.heat_element(tau, RR)
+            mh.mehler_kernel(tau, RR)
+        mh.a_hat(RR)
+    assert seen == [(d, d)] * 14
+
+
 # -- boundary supertrace --------------------------------------------------------------------------
 
 
@@ -540,6 +583,26 @@ def test_elimination_solves_only_for_its_right_hand_side():
             assert M @ X == B
     with pytest.raises(ValueError):
         mh._eliminate(M, FormMatrix.zero(table, n + 1, 0))
+
+
+def test_determinant_alone_is_the_determinant_of_the_full_elimination():
+    # with no right-hand side the rows above each pivot are left alone; the
+    # pivots are the same forms, so the determinant is the same, float or exact
+    import chernloc.mehler as mh
+    rng = random.Random(14)
+    table = GeneratorTable(4)
+    table.add_generator("u", 2)
+    table.add_generator("v", 2)
+    for n in (2, 4, 6):
+        for _ in range(2):
+            M = _random_gaussian_matrix(table, n, rng)
+            M = (M + M.transpose()).scale(Fraction(1, 2))
+            for mat in (M, M.scale(0.37)):
+                det, solved = mh._eliminate(mat, FormMatrix.zero(table, n, 0))
+                full, _ = mh._eliminate(mat, FormMatrix.identity(table, n))
+                assert det == full and repr(det) == repr(full)
+                assert solved.shape == (n, 0)
+            assert det_leibniz(M) == mh._eliminate(M, FormMatrix.zero(table, n, 0))[0]
 
 
 def test_det_invsqrt_is_the_inverse_square_root():

@@ -184,6 +184,10 @@ def test_non_integer_generator_degree_is_rejected_by_value(degree):
 @pytest.mark.parametrize("text, message", [
     ("d 4\nx 1.5 u\nu 2 0\n", "line 2: degree of 'x' must be an integer, got '1.5'"),
     ("# top degree\nd four\nx 1 0\n", "line 2: top degree must be an integer, got 'four'"),
+    # int() alone reads digit-group underscores and non-ASCII digits
+    ("d 1_0\nx 1 0\n", "line 1: top degree must be an integer, got '1_0'"),
+    ("d \u0664\nx 1 0\n", "line 1: top degree must be an integer, got '\u0664'"),
+    ("d 4\nx 1_0 0\n", "line 2: degree of 'x' must be an integer, got '1_0'"),
 ])
 def test_table_text_names_the_line_of_a_degree_that_is_not_an_integer(text, message):
     with pytest.raises(ValueError) as info:
@@ -410,6 +414,11 @@ def test_a_huge_power_is_read_in_at_most_top_degree_plus_one_products():
     ("-", "'-' ends in the operator '-'"),
     ("2x", "'2x' is not a number literal"),
     ("x^", "'x^' is not a number literal"),
+    # digits are ASCII: Arabic-Indic three and two are not read as 3 and 2
+    ("\u0663 * u", "'\u0663' is not a number literal"),
+    ("u^\u0662", "'u^\u0662' is not a number literal"),
+    # and spaces are ASCII: a no-break space does not separate two factors
+    ("u\u00a0u", "'u\\xa0u' is not a number literal"),
     ("(1 2) x", "'(1 2)' is not a number literal; a parenthesized sum is not expanded"),
     ("1e400 x", "'1e400' overflows a float"),
     ("(1e400+1i) x", "'(1e400+1i)' overflows a float"),
